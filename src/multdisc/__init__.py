@@ -7,9 +7,7 @@ from .combinat import (
     parse_partition,
     partitions,
     permutation_count,
-    rank_permutation,
     repetition_constant,
-    unrank_permutation,
 )
 from .discriminant import (
     ClassifyReport,

@@ -1,11 +1,10 @@
 """Command-line front end.
 
 Subcommands: classify, dmu, yhz, table, verify.  Exact values are printed
-as arbitrary-precision decimal strings, never floats; the --truncate-digits
-option elides long middles in text output only, JSON always carries full
-values.  Identical (command, inputs, seed, workers) produce byte-identical
-output: the worker count changes chunking of the internal reduction, not
-its integer result.
+as arbitrary-precision decimal strings, never floats, with no digit limit;
+the --truncate-digits option elides long middles in text output only, JSON
+always carries full values.  Identical (command, inputs, seed) produce
+byte-identical output.
 
 Exit codes: 0 success, 1 usage/parse errors, 2 mathematical anomalies
 (ambiguous classification, degenerate chains, failing verify suites),
@@ -18,13 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from .combinat import parse_partition, partitions
-from .discriminant import (
-    SYMBOLIC_CAP,
-    classify_report,
-    dmu,
-    dmu_degree,
-    resolve_workers,
-)
+from .discriminant import SYMBOLIC_CAP, classify_report, dmu, dmu_degree
 from .errors import (
     AmbiguousClassification,
     CapExceeded,
@@ -34,7 +27,7 @@ from .errors import (
     ParseError,
     UnknownSuite,
 )
-from .scalars import parse_scalar
+from .scalars import format_scalar, parse_scalar
 from .suites import SUITES, run_suite
 from .unipoly import Poly, generic_poly
 from .yhz import (
@@ -55,7 +48,6 @@ EXIT_INTERNAL = 3
 class RunConfig:
     command: str
     fmt: str = "text"
-    workers: int = 1
     seed: int = 7
     truncate_digits: int = 0  # 0 = never truncate
     symbolic_cap: int = SYMBOLIC_CAP
@@ -92,13 +84,14 @@ def _mu_str(mu):
 
 def _classify_one(text, cfg):
     poly = _parse_input_poly(text)
-    report = classify_report(poly, workers=cfg.workers)
+    report = classify_report(poly)
     return {
         "degree": report.degree,
         "ndr": report.ndr,
         "multiplicity": list(report.multiplicity),
         "certificates": [
-            {"mu": list(mu), "value": str(value)} for mu, value in report.certificates
+            {"mu": list(mu), "value": format_scalar(value)}
+            for mu, value in report.certificates
         ],
     }
 
@@ -175,14 +168,14 @@ def cmd_dmu(args, cfg, out):
         poly = _parse_input_poly(args.eval)
         if poly.degree != args.n:
             raise ParseError(f"--eval polynomial has degree {poly.degree}, expected {args.n}")
-        result = dmu(poly, mu, workers=cfg.workers)
+        result = dmu(poly, mu)
         payload = {
             "n": args.n,
             "mu": list(mu),
             "mode": "numeric",
             "matrix_dim": result.matrix_dim,
             "term_count": result.term_count,
-            "value": str(result.value),
+            "value": format_scalar(result.value),
         }
         if cfg.fmt == "json":
             out.write(json.dumps(payload) + "\n")
@@ -213,8 +206,8 @@ def cmd_yhz(args, cfg, out):
         payload.update(
             {
                 "mode": "numeric",
-                "equation_values": [str(v) for v in cond.equations],
-                "inequation_value": str(cond.inequation),
+                "equation_values": [format_scalar(v) for v in cond.equations],
+                "inequation_value": format_scalar(cond.inequation),
                 "satisfied": cond.is_satisfied(),
             }
         )
@@ -325,7 +318,7 @@ def _csv_cell(value):
 
 
 def cmd_verify(args, cfg, out):
-    result = run_suite(args.suite, args.trials, cfg.seed, workers=cfg.workers)
+    result = run_suite(args.suite, args.trials, cfg.seed)
     if cfg.fmt == "json":
         payload = {
             "suite": result.suite,
@@ -350,8 +343,6 @@ def build_parser():
 
     def common(p, formats=("text", "json")):
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel workers (default: MULTDISC_WORKERS or cpu count)")
         p.add_argument("--truncate-digits", type=int, default=0,
                        help="elide middles of long values in text output")
         p.add_argument("--symbolic-cap", type=int, default=SYMBOLIC_CAP)
@@ -409,7 +400,6 @@ def main(argv=None, out=None):
         cfg = RunConfig(
             command=args.command,
             fmt=args.format,
-            workers=resolve_workers(args.workers),
             seed=getattr(args, "seed", 7),
             truncate_digits=args.truncate_digits,
             symbolic_cap=args.symbolic_cap,

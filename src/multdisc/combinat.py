@@ -3,9 +3,7 @@
 A partition mu = (mu_1 >= ... >= mu_m) of n expands to the length-n tuple
 p that repeats each part mu_i exactly mu_i times; the discriminant sums
 one determinant per distinct rearrangement of p.  Rearrangements are
-streamed in ascending lexicographic order and never materialised, and the
-stream is splittable by lexicographic rank so independent workers can
-consume disjoint, deterministic chunks.
+streamed in ascending lexicographic order and never materialised.
 """
 
 from math import factorial
@@ -105,58 +103,3 @@ def multiset_permutations(p):
             j -= 1
         cur[i], cur[j] = cur[j], cur[i]
         cur[i + 1 :] = reversed(cur[i + 1 :])
-
-
-def _count_with_counts(counts, length):
-    c = factorial(length)
-    for q in counts.values():
-        c //= factorial(q)
-    return c
-
-
-def unrank_permutation(p, rank):
-    """The rank-th rearrangement of p in ascending lex order (0-based)."""
-    total = permutation_count(p)
-    if not 0 <= rank < total:
-        raise IndexError(f"rank {rank} out of range [0, {total})")
-    counts = {}
-    for v in p:
-        counts[v] = counts.get(v, 0) + 1
-    out = []
-    remaining = len(p)
-    while remaining:
-        for v in sorted(counts):
-            counts[v] -= 1
-            if counts[v] == 0:
-                del counts[v]
-            below = _count_with_counts(counts, remaining - 1)
-            if rank < below:
-                out.append(v)
-                break
-            rank -= below
-            counts[v] = counts.get(v, 0) + 1
-        remaining -= 1
-    return tuple(out)
-
-
-def rank_permutation(t):
-    """Lexicographic rank of t among the rearrangements of its own multiset."""
-    counts = {}
-    for v in t:
-        counts[v] = counts.get(v, 0) + 1
-    rank = 0
-    remaining = len(t)
-    for chosen in t:
-        for v in sorted(counts):
-            if v == chosen:
-                break
-            counts[v] -= 1
-            if counts[v] == 0:
-                del counts[v]
-            rank += _count_with_counts(counts, remaining - 1)
-            counts[v] = counts.get(v, 0) + 1
-        counts[chosen] -= 1
-        if counts[chosen] == 0:
-            del counts[chosen]
-        remaining -= 1
-    return rank

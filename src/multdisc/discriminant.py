@@ -14,22 +14,17 @@ number of distinct roots (principal subresultant coefficients of F, F')
 and then test each candidate partition.
 
 Numeric evaluation does not compute one determinant per rearrangement.
-All stacks share the F-block and differ only in the derivative rows, so
-the sum is evaluated by fraction-free row elimination over the tree of
-rearrangement prefixes: the F-block is eliminated once, every tree edge
-inserts a single row (divisions by the previous pivot stay exact under
-column pivoting), and each leaf contributes its final pivot times the
-pivot-column parity.  A rank-deficient prefix prunes its whole subtree.
-The tree is walked in ascending lexicographic order and any rank window
-can be summed independently, which makes parallel chunking deterministic:
-partial sums are integers, so their total is order-independent.
+The F-block rows x^j F (j < n - mu_m) span every multiple F h with
+deg h < n - mu_m, so each derivative row can be replaced by its remainder
+mod F: det(stack) = lc(F)^(n - mu_m) det(n x n remainder matrix).  The
+determinant is multilinear in its rows, so the sum over rearrangements is
+a DP over the counts of each part still to place; a state carries the
+wedge product of the rows placed so far, summed over every prefix that
+reaches it.  Remainders are pseudo-remainders with one power of lc per
+slot, divided out exactly at the end.
 """
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from bisect import bisect_right, insort
-from math import factorial
 
 from .combinat import (
     check_partition,
@@ -45,14 +40,12 @@ from .errors import (
     ZeroPolynomial,
 )
 from .linalg import dp
-from .scalars import clear_denominators
+from .scalars import clear_denominators, exact_div
 from .subresultants import subresultant_chain
 from .sympoly import SymPoly
 from .unipoly import Poly
 
 SYMBOLIC_CAP = 6
-PARALLEL_THRESHOLD = 4096
-WORKERS_ENV = "MULTDISC_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -78,17 +71,6 @@ class ClassifyReport:
     certificates: tuple  # ((mu, value), ...) in candidate order
 
 
-def resolve_workers(workers=None):
-    if workers is not None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        return workers
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def dmu_degree(n, mu):
     """Total degree of D_mu in the coefficients: 2n - mu_m."""
     mu = check_partition(mu)
@@ -111,137 +93,66 @@ def dmu_rows(n, mu, sigma, F):
     return rows
 
 
-def _insert_row(pivots, vec):
-    """Fraction-free reduction of one row against the pivot stack.
+def _reduced_rows(Fz, values):
+    """Each slot's derivative rows, reduced mod F and scaled into the integers.
 
-    Returns (column, reduced row, pivot value), or None when the row is a
-    linear combination of the pivots.  Divisions by the previous pivot are
-    exact (Sylvester identity); integer entries only.
+    rows[i][k] is the coefficient vector (x^(n-1) first) of
+    lc^e_i * (x^(n-1-i) T_v mod F) for v = values[k], with T_v the v-th
+    Taylor derivative.  Slots are built from the bottom one up: multiply
+    by x and, when any row of the slot reaches x^n, take one
+    pseudo-reduction step lc*row - top*F for all of them, so a whole slot
+    shares one power e_i of lc.  Returns the rows and sum(e_i).
     """
-    r = list(vec)
-    prev = 1
-    for col, prow, piv in pivots:
-        c = r[col]
-        if c:
-            r = [(piv * rj - c * pj) // prev for rj, pj in zip(r, prow)]
-        elif piv != prev:
-            r = [(piv * rj) // prev for rj in r]
-        prev = piv
-    for col, val in enumerate(r):
-        if val:
-            return col, r, val
-    return None
+    n, lc = Fz.degree, Fz.lead
+    tail = [Fz.coeff(n - 1 - j) for j in range(n)]
+    taylors = [Fz.taylor_derivative(v) for v in values]
+    cur = [[t.coeff(n - 1 - j) for j in range(n)] for t in taylors]
+    rows = [cur] * n
+    e = total_e = 0
+    for i in range(n - 2, -1, -1):
+        if any(r[0] for r in cur):
+            e += 1
+            cur = [[lc * a - r[0] * f for a, f in zip(r[1:] + [0], tail)] for r in cur]
+        else:
+            cur = [r[1:] + [0] for r in cur]
+        rows[i] = cur
+        total_e += e
+    return rows, total_e
 
 
-def _sum_window(fvecs, slot_rows, values, counts, n, lo, hi):
-    """Sum of stack determinants over the lex-rank window [lo, hi)."""
-    pivots = []
-    cols = []
-    inversions = 0
-    for vec in fvecs:
-        res = _insert_row(pivots, vec)
-        if res is None:
-            return 0  # shared F-block singular: every term vanishes
-        col, row, piv = res
-        inversions += len(cols) - bisect_right(cols, col)
-        insort(cols, col)
-        pivots.append((col, row, piv))
+def _dmu_numeric(Fz, mu):
+    """D_mu of an integer polynomial, by a DP over the part counts still to place.
 
-    fact = [factorial(i) for i in range(n + 1)]
-
-    def tail_count(cnts, length):
-        c = fact[length]
-        for q in cnts.values():
-            c //= fact[q]
-        return c
-
-    total = 0
-
-    def walk(slot, inv, cur):
-        nonlocal total
-        if slot == n:
-            total += pivots[-1][2] if inv % 2 == 0 else -pivots[-1][2]
-            return cur + 1
-        for v in values:
-            cnt = counts.get(v, 0)
-            if not cnt:
-                continue
-            counts[v] = cnt - 1
-            if cnt == 1:
-                del counts[v]
-            size = tail_count(counts, n - slot - 1)
-            if cur + size <= lo or cur >= hi:
-                cur += size
-            else:
-                res = _insert_row(pivots, slot_rows[slot][v])
-                if res is None:
-                    cur += size  # singular prefix: all completions are zero
-                else:
-                    col, row, piv = res
-                    added = len(cols) - bisect_right(cols, col)
-                    insort(cols, col)
-                    pivots.append((col, row, piv))
-                    cur = walk(slot + 1, inv + added, cur)
-                    pivots.pop()
-                    cols.remove(col)
-            if cnt == 1:
-                counts[v] = 1
-            else:
-                counts[v] = cnt
-            if cur >= hi:
-                return cur
-        return cur
-
-    walk(0, inversions, 0)
-    return total
-
-
-def _numeric_setup(F, mu):
-    n = F.degree
-    dim = 2 * n - mu[-1]
-    ints, _ = clear_denominators(list(F.coeffs))
-    Fz = Poly(ints)
-    fvecs = [
-        [Fz.shift_mul(s).coeff(dim - 1 - j) for j in range(dim)]
-        for s in range(n - mu[-1] - 1, -1, -1)
-    ]
+    Each DP state holds the wedge product of the rows placed so far, summed
+    over every prefix that reaches it, as {column bitmask: coefficient}.
+    """
+    n = Fz.degree
     values = sorted(set(mu))
-    taylors = {v: Fz.taylor_derivative(v) for v in values}
-    slot_rows = []
-    for slot in range(n):
-        shift = n - 1 - slot
-        per_value = {
-            v: [t.shift_mul(shift).coeff(dim - 1 - j) for j in range(dim)]
-            for v, t in taylors.items()
-        }
-        slot_rows.append(per_value)
-    counts = {}
-    for v in expand_partition(mu):
-        counts[v] = counts.get(v, 0) + 1
-    return fvecs, slot_rows, values, counts, n
-
-
-def _dmu_window_job(coeffs, mu, lo, hi):
-    fvecs, slot_rows, values, counts, n = _numeric_setup(Poly(coeffs), mu)
-    return _sum_window(fvecs, slot_rows, values, counts, n, lo, hi)
-
-
-def _dmu_numeric(F, mu, workers):
-    total_perms = permutation_count(expand_partition(mu))
-    if workers > 1 and total_perms >= PARALLEL_THRESHOLD:
-        bounds = [total_perms * i // workers for i in range(workers + 1)]
-        coeffs = tuple(F.coeffs)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _dmu_window_job,
-                [coeffs] * workers,
-                [mu] * workers,
-                bounds[:-1],
-                bounds[1:],
-            )
-            return sum(parts)
-    fvecs, slot_rows, values, counts, n = _numeric_setup(F, mu)
-    return _sum_window(fvecs, slot_rows, values, counts, n, 0, total_perms)
+    rows, total_e = _reduced_rows(Fz, values)
+    layer = {tuple(v * mu.count(v) for v in values): {0: 1}}
+    for slot_rows in rows:
+        slot = [[(1 << j, j + 1, c) for j, c in enumerate(r) if c] for r in slot_rows]
+        nxt = {}
+        for state, wedge in layer.items():
+            for k, left in enumerate(state):
+                if not left:
+                    continue
+                out = nxt.setdefault(state[:k] + (left - 1,) + state[k + 1 :], {})
+                for mask, coef in wedge.items():
+                    for bit, above, c in slot[k]:
+                        if mask & bit:
+                            continue
+                        # e_S ^ e_j = (-1)^#{s in S: s > j} e_(S+j)
+                        term = -coef * c if (mask >> above).bit_count() & 1 else coef * c
+                        new = mask | bit
+                        out[new] = out.get(new, 0) + term
+        layer = nxt
+    (wedge,) = layer.values()
+    total = wedge.get((1 << n) - 1, 0)
+    # det(stack) = lc^(n - mu_m) det(remainder rows) / lc^(sum e_i).  The
+    # T_(mu_m) row reaches x^n in slot n - mu_m - 1, so every slot
+    # i < n - mu_m has e_i >= 1 and sum e_i >= n - mu_m.
+    return exact_div(total, Fz.lead ** (total_e - (n - mu[-1])))
 
 
 def _dmu_by_dp(F, mu):
@@ -253,7 +164,7 @@ def _dmu_by_dp(F, mu):
     return total
 
 
-def dmu(F, mu, *, workers=None, symbolic_cap=SYMBOLIC_CAP, engine="auto"):
+def dmu(F, mu, *, symbolic_cap=SYMBOLIC_CAP, engine="auto"):
     """D_mu(F), exact; symbolic when F has symbolic coefficients.
 
     Numeric coefficients are normalised to integers by clearing
@@ -278,11 +189,9 @@ def dmu(F, mu, *, workers=None, symbolic_cap=SYMBOLIC_CAP, engine="auto"):
         if isinstance(value, int):  # all-zero sum: normalise into the ring
             value = SymPoly.const(n + 1, value)
         return DmuResult(mu, "symbolic", value, term_count, dim)
-    if engine == "dp":
-        ints, _ = clear_denominators(list(F.coeffs))
-        value = _dmu_by_dp(Poly(ints), mu)
-    else:
-        value = _dmu_numeric(F, mu, resolve_workers(workers))
+    ints, _ = clear_denominators(list(F.coeffs))
+    Fz = Poly(ints)
+    value = _dmu_by_dp(Fz, mu) if engine == "dp" else _dmu_numeric(Fz, mu)
     return DmuResult(mu, "numeric", value, term_count, dim)
 
 
@@ -307,7 +216,7 @@ def psd_sequence(F):
     return PsdReport(psd, n - first)
 
 
-def classify_report(F, *, workers=None):
+def classify_report(F):
     """Distinct-root count, winning partition, and per-candidate certificates."""
     if not F:
         raise ZeroPolynomial("cannot classify the zero polynomial")
@@ -321,9 +230,7 @@ def classify_report(F, *, workers=None):
     if m == n - 1:
         return ClassifyReport(n, m, (2,) + (1,) * (n - 2), ())
     candidates = partitions(n, m)
-    certificates = tuple(
-        (nu, dmu(F, nu, workers=workers).value) for nu in candidates
-    )
+    certificates = tuple((nu, dmu(F, nu).value) for nu in candidates)
     winners = [nu for nu, value in certificates if value]
     if len(winners) != 1:
         raise AmbiguousClassification(
@@ -333,6 +240,6 @@ def classify_report(F, *, workers=None):
     return ClassifyReport(n, m, winners[0], certificates)
 
 
-def classify(F, *, workers=None):
+def classify(F):
     """The multiplicity structure of F, as a partition of its degree."""
-    return classify_report(F, workers=workers).multiplicity
+    return classify_report(F).multiplicity

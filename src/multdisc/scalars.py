@@ -8,13 +8,12 @@ to whole numbers are normalised back to ``int`` so that integer-only code
 paths (fraction-free elimination in particular) stay in the integer ring.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import singledispatch
 from math import lcm
 
 from .errors import NonExactDivision, ParseError
-
-Scalar = (int, Fraction)
 
 
 def normalize_scalar(value):
@@ -37,9 +36,14 @@ def parse_scalar(text):
 
 
 def format_scalar(value):
+    """Exact decimal text of an int or Fraction, at any size.
+
+    str(int) refuses values above sys.get_int_max_str_digits() digits;
+    Decimal converts an int without going through text, so it has no limit.
+    """
     if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value))
+        return f"{format_scalar(value.numerator)}/{format_scalar(value.denominator)}"
+    return str(Decimal(int(value)))
 
 
 @singledispatch

@@ -128,12 +128,6 @@ def subresultant_det(P, Q, k, p=None, q=None, method="auto"):
     return Poly(coeffs)
 
 
-def principal_coefficient(chain_or_poly, k):
-    """x^k coefficient of S_k, given either the chain or S_k itself."""
-    poly = chain_or_poly[k] if isinstance(chain_or_poly, list) else chain_or_poly
-    return poly.coeff(k)
-
-
 def resultant(P, Q, method="auto"):
     """res(P, Q) for deg P > deg Q, as the constant coefficient of S_0."""
     return subresultant_det(P, Q, 0, method=method).coeff(0)

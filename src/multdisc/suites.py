@@ -46,7 +46,7 @@ def _translate(F, t):
     return acc
 
 
-def suite_lemma2(trials, seed, workers=None):
+def suite_lemma2(trials, seed):
     result = SuiteResult("lemma2", trials + 1, 0)
     nv = 8
     A = Matrix([[SymPoly.variable(nv, i * 2 + j) for j in (0, 1)] for i in (0, 1)])
@@ -67,7 +67,7 @@ def suite_lemma2(trials, seed, workers=None):
     return result
 
 
-def suite_lemma3(trials, seed, workers=None):
+def suite_lemma3(trials, seed):
     result = SuiteResult("lemma3", trials + 1, 0)
     # cubic instance with numeric roots 1, 2, 3: dp value specialises 9 a0^3 a3^2
     F = poly_from_roots(RootSpec(roots=(1, 2, 3), mults=(1, 1, 1), lead=1))
@@ -93,7 +93,7 @@ def suite_lemma3(trials, seed, workers=None):
     return result
 
 
-def suite_lemma1(trials, seed, workers=None):
+def suite_lemma1(trials, seed):
     result = SuiteResult("lemma1", trials, 0)
     rng = random.Random(seed)
     for trial in range(trials):
@@ -116,7 +116,7 @@ def suite_lemma1(trials, seed, workers=None):
     return result
 
 
-def suite_roundtrip(trials, seed, workers=None):
+def suite_roundtrip(trials, seed):
     result = SuiteResult("roundtrip", trials, 0)
     rng = random.Random(seed)
     for trial in range(trials):
@@ -124,7 +124,7 @@ def suite_roundtrip(trials, seed, workers=None):
         m = rng.randint(2, n - 2)
         spec = random_instance(rng.randrange(2**32), n, m)
         F = poly_from_roots(spec)
-        got = classify(F, workers=workers)
+        got = classify(F)
         if got == spec.partition():
             result.passed += 1
         else:
@@ -132,7 +132,7 @@ def suite_roundtrip(trials, seed, workers=None):
     return result
 
 
-def suite_scaling(trials, seed, workers=None):
+def suite_scaling(trials, seed):
     result = SuiteResult("scaling", trials, 0)
     rng = random.Random(seed)
     for trial in range(trials):
@@ -143,9 +143,9 @@ def suite_scaling(trials, seed, workers=None):
         mu = spec.partition()
         s = rng.choice((2, 3, -2, -3, 5))
         t = rng.randint(-4, 4)
-        base = dmu(F, mu, workers=workers).value
-        scaled = dmu(F.scale(s), mu, workers=workers).value
-        shifted = dmu(_translate(F, t), mu, workers=workers).value
+        base = dmu(F, mu).value
+        scaled = dmu(F.scale(s), mu).value
+        shifted = dmu(_translate(F, t), mu).value
         if scaled == s ** dmu_degree(n, mu) * base and bool(shifted) == bool(base):
             result.passed += 1
         else:
@@ -156,7 +156,7 @@ def suite_scaling(trials, seed, workers=None):
     return result
 
 
-def suite_yhz_agree(trials, seed, workers=None):
+def suite_yhz_agree(trials, seed):
     result = SuiteResult("yhz-agree", trials, 0)
     rng = random.Random(seed)
     for trial in range(trials):
@@ -171,7 +171,7 @@ def suite_yhz_agree(trials, seed, workers=None):
         bad = None
         for nu in partitions(n, m):
             holds = yhz_condition(F, nu).is_satisfied()
-            dval = dmu(F, nu, workers=workers).value
+            dval = dmu(F, nu).value
             if holds != (nu == truth) or holds != bool(dval):
                 bad = (nu, holds, dval)
                 break
@@ -192,11 +192,11 @@ SUITES = {
 }
 
 
-def run_suite(name, trials, seed, workers=None):
+def run_suite(name, trials, seed):
     try:
         fn = SUITES[name]
     except KeyError:
         raise UnknownSuite(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         ) from None
-    return fn(trials, seed, workers=workers)
+    return fn(trials, seed)

@@ -175,10 +175,6 @@ def parse_poly(text):
     return Poly([parse_scalar(part) for part in text.split(",")])
 
 
-def format_poly(p):
-    return str(p)
-
-
 def generic_poly(n):
     """Degree-n polynomial with symbolic coefficients a_0 x^n + ... + a_n."""
     if n < 0:

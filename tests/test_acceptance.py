@@ -71,7 +71,7 @@ def roundtrip():
         m = rng.randint(2, n - 2)
         spec = random_instance(rng.randrange(2**32), n, m)
         F = poly_from_roots(spec)
-        report = classify_report(F, workers=1)
+        report = classify_report(F)
         results.append((spec, F, report))
     elapsed = time.perf_counter() - start
     return results, elapsed
@@ -110,10 +110,10 @@ def test_criterion_2_table_reproduction():
     for mu in emitted:
         roots = tuple(rng.sample(range(-9, 10), len(mu)))
         F = poly_from_roots(RootSpec(roots=roots, mults=mu, lead=1))
-        value = dmu(F, mu, workers=1).value
+        value = dmu(F, mu).value
         assert value != 0
         s = rng.choice((2, 3, -2))
-        assert dmu(F.scale(s), mu, workers=1).value == s ** dmu_degree(8, mu) * value
+        assert dmu(F.scale(s), mu).value == s ** dmu_degree(8, mu) * value
     _report("2 table n=8 reproduction", time.perf_counter() - start, 60.0)
 
 
@@ -173,7 +173,7 @@ def test_criterion_7_root_side_consistency(roundtrip):
     results, _ = roundtrip
     anchor_spec = RootSpec(roots=(1, -2), mults=(3, 1), lead=1)
     anchor = poly_from_roots(anchor_spec)
-    assert dmu(anchor, (3, 1), workers=1).value == -729
+    assert dmu(anchor, (3, 1)).value == -729
     assert dbar_mu(anchor, anchor_spec.flattened_roots(), (3, 1)) == -729
     checked = 0
     for spec, F, report in results:
@@ -199,7 +199,7 @@ def test_criterion_8_specialisations(roundtrip):
         n = rng.randint(2, 6)
         roots = tuple(rng.sample(range(-10, 11), n))
         F = poly_from_roots(RootSpec(roots=roots, mults=(1,) * n, lead=rng.choice((1, 2, -1, 3))))
-        lhs = dmu(F, (1,) * n, workers=1).value
+        lhs = dmu(F, (1,) * n).value
         rhs = subresultant_det(F, F.derivative(), 0).coeff(0)
         assert abs(lhs) == abs(rhs), (roots, lhs, rhs)
         done += 1

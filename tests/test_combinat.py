@@ -10,9 +10,7 @@ from multdisc.combinat import (
     multiset_permutations,
     partitions,
     permutation_count,
-    rank_permutation,
     repetition_constant,
-    unrank_permutation,
 )
 from multdisc.errors import EmptyDomain
 
@@ -82,16 +80,6 @@ def test_multinomial_identity_and_round_trip(p):
     target = tuple(sorted(p, reverse=True))
     assert all(tuple(sorted(t, reverse=True)) == target for t in perms)
     assert len(set(perms)) == len(perms)
-
-
-def test_rank_unrank_inverse():
-    p = (3, 3, 3, 2, 2, 1)
-    total = permutation_count(p)
-    for rank, perm in enumerate(multiset_permutations(p)):
-        assert unrank_permutation(p, rank) == perm
-        assert rank_permutation(perm) == rank
-    with pytest.raises(IndexError):
-        unrank_permutation(p, total)
 
 
 def test_permutation_count():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -50,10 +51,10 @@ def test_symbolic_quartic_is_the_known_condition():
 
 def test_numeric_anchors_both_engines():
     for engine in ("auto", "dp"):
-        assert dmu(F31, (3, 1), engine=engine, workers=1).value == -729
-        assert dmu(F31, (2, 2), engine=engine, workers=1).value == 0
-        assert dmu(F22, (3, 1), engine=engine, workers=1).value == 0
-        assert dmu(F22, (2, 2), engine=engine, workers=1).value == 256
+        assert dmu(F31, (3, 1), engine=engine).value == -729
+        assert dmu(F31, (2, 2), engine=engine).value == 0
+        assert dmu(F22, (3, 1), engine=engine).value == 0
+        assert dmu(F22, (2, 2), engine=engine).value == 256
 
 
 def test_engines_agree_on_random_instances():
@@ -63,7 +64,7 @@ def test_engines_agree_on_random_instances():
         spec = random_instance(rng.randrange(2**32), n, rng.randint(1, n))
         F = poly_from_roots(spec)
         nu = rng.choice(partitions(n, rng.randint(1, n)))
-        assert dmu(F, nu, workers=1).value == dmu(F, nu, engine="dp").value
+        assert dmu(F, nu).value == dmu(F, nu, engine="dp").value
 
 
 def test_symbolic_specialises_to_numeric():
@@ -79,7 +80,7 @@ def test_symbolic_specialises_to_numeric():
                     coeffs = [rng.choice([1, 2, -1, -3])] + [
                         rng.randint(-4, 4) for _ in range(n)
                     ]
-                    num = dmu(Poly(coeffs), mu, workers=1).value
+                    num = dmu(Poly(coeffs), mu).value
                     assert sym.evaluate(coeffs) == num
 
 
@@ -98,37 +99,21 @@ def test_engine_stress_degenerate_inputs():
             m = rng.randint(1, n)
             F = poly_from_roots(random_instance(rng.randrange(2**32), n, m))
         mu = rng.choice(partitions(n, rng.randint(1, n)))
-        assert dmu(F, mu, workers=1).value == dmu(F, mu, engine="dp").value
-
-
-def test_window_sums_partition_the_total():
-    from multdisc.discriminant import _dmu_window_job
-    from multdisc.combinat import permutation_count
-
-    F = poly_from_roots(RootSpec(roots=(1, -2, 4), mults=(3, 2, 1), lead=1))
-    mu = (3, 2, 1)
-    total = permutation_count(expand_partition(mu))
-    full = dmu(F, mu, workers=1).value
-    cuts = [0, 7, 19, 40, total]
-    parts = [
-        _dmu_window_job(tuple(F.coeffs), mu, a, b) for a, b in zip(cuts, cuts[1:])
-    ]
-    assert sum(parts) == full
-    # random cut points, including empty windows
-    rng = random.Random(0)
-    for _ in range(5):
-        cuts = sorted([0, total] + [rng.randint(0, total) for _ in range(4)])
-        parts = [
-            _dmu_window_job(tuple(F.coeffs), mu, a, b) for a, b in zip(cuts, cuts[1:])
-        ]
-        assert sum(parts) == full
-    assert _dmu_window_job(tuple(F.coeffs), mu, 3, 3) == 0
-
-
-def test_parallel_reduction_matches_serial(monkeypatch):
-    monkeypatch.setattr(disc, "PARALLEL_THRESHOLD", 1)
-    F = poly_from_roots(RootSpec(roots=(2, -1), mults=(3, 2), lead=1))
-    assert dmu(F, (3, 2), workers=2).value == dmu(F, (3, 2), workers=1).value
+        assert dmu(F, mu).value == dmu(F, mu, engine="dp").value
+    # rational coefficients (denominator clearing), a 10-digit lead (the
+    # lc powers on the remainder rows) and a zero constant term
+    for trial in range(18):
+        n = rng.randint(2, 6)
+        spec = random_instance(rng.randrange(2**32), n, rng.randint(1, n))
+        if trial % 3 == 0:
+            F = Poly([Fraction(c, rng.randint(1, 9)) for c in poly_from_roots(spec).coeffs])
+        elif trial % 3 == 1:
+            lead = rng.choice((1, -1)) * rng.randint(10**9, 10**10 - 1)
+            F = poly_from_roots(RootSpec(spec.roots, spec.mults, lead))
+        else:
+            F = Poly(list(poly_from_roots(spec).coeffs) + [0])
+        for nu in partitions(F.degree, rng.randint(1, F.degree)):
+            assert dmu(F, nu).value == dmu(F, nu, engine="dp").value
 
 
 def test_dmu_rows_first_example_block():
@@ -214,7 +199,7 @@ def test_numeric_scaling_homogeneity():
         F = poly_from_roots(spec)
         mu = spec.partition()
         s = rng.choice((2, -3, 5))
-        assert dmu(F.scale(s), mu, workers=1).value == s ** dmu_degree(n, mu) * dmu(F, mu, workers=1).value
+        assert dmu(F.scale(s), mu).value == s ** dmu_degree(n, mu) * dmu(F, mu).value
 
 
 def test_translation_preserves_zero_pattern():
@@ -227,7 +212,7 @@ def test_translation_preserves_zero_pattern():
         t = rng.randint(-3, 3)
         Ft = translate(F, t)
         for nu in partitions(n, m):
-            assert bool(dmu(F, nu, workers=1).value) == bool(dmu(Ft, nu, workers=1).value)
+            assert bool(dmu(F, nu).value) == bool(dmu(Ft, nu).value)
 
 
 def test_all_ones_partition_matches_resultant():
@@ -236,7 +221,7 @@ def test_all_ones_partition_matches_resultant():
         n = rng.randint(2, 6)
         roots = tuple(rng.sample(range(-9, 10), n))
         F = poly_from_roots(RootSpec(roots=roots, mults=(1,) * n, lead=rng.choice((1, 2, -1))))
-        lhs = dmu(F, (1,) * n, workers=1).value
+        lhs = dmu(F, (1,) * n).value
         rhs = subresultant_det(F, F.derivative(), 0).coeff(0)
         assert abs(lhs) == abs(rhs)
 
@@ -245,7 +230,7 @@ def test_rational_coefficients_are_cleared():
     F = parse_poly("1/2,-1/2,-3/2,5/2,-1")  # F31 scaled by 1/2
     assert classify(F) == (3, 1)
     # homogeneity: value is for the denominator-cleared polynomial (factor 2)
-    assert dmu(F, (3, 1), workers=1).value == dmu(F31, (3, 1), workers=1).value
+    assert dmu(F, (3, 1)).value == dmu(F31, (3, 1)).value
 
 
 def test_psd_examples_and_oracle():
@@ -307,7 +292,7 @@ def test_classify_completeness():
         spec = random_instance(rng.randrange(2**32), n, m)
         F = poly_from_roots(spec)
         for nu in partitions(n, m):
-            value = dmu(F, nu, workers=1).value
+            value = dmu(F, nu).value
             assert bool(value) == (nu == spec.partition())
 
 

@@ -132,7 +132,7 @@ def test_numeric_truth_agrees_with_structure_and_discriminant():
         for nu in partitions(n, m):
             holds = yhz_condition(F, nu).is_satisfied()
             assert holds == (nu == spec.partition())
-            assert holds == bool(dmu(F, nu, workers=1).value)
+            assert holds == bool(dmu(F, nu).value)
 
 
 def test_numeric_chain_specialises_symbolic_condition():
