@@ -26,6 +26,7 @@ from .oracle import (
     check_det_per_identity,
     check_dp_ratio,
     dbar_mu,
+    dmu_by_stacks,
     poly_from_roots,
     random_instance,
 )

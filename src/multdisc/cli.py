@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 usage/parse errors, 2 mathematical anomalies
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .combinat import parse_partition, partitions
 from .discriminant import SYMBOLIC_CAP, classify_report, dmu, dmu_degree
@@ -42,15 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ANOMALY = 2
 EXIT_INTERNAL = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    fmt: str = "text"
-    seed: int = 7
-    truncate_digits: int = 0  # 0 = never truncate
-    symbolic_cap: int = SYMBOLIC_CAP
 
 
 def _truncate(text, digits):
@@ -82,7 +72,7 @@ def _mu_str(mu):
     return "[" + ",".join(map(str, mu)) + "]"
 
 
-def _classify_one(text, cfg):
+def _classify_one(text):
     poly = _parse_input_poly(text)
     report = classify_report(poly)
     return {
@@ -96,7 +86,7 @@ def _classify_one(text, cfg):
     }
 
 
-def cmd_classify(args, cfg, out):
+def cmd_classify(args, out):
     if bool(args.coeffs) == bool(args.file):
         raise ParseError("exactly one of --coeffs or --file is required")
     if args.coeffs:
@@ -110,12 +100,12 @@ def cmd_classify(args, cfg, out):
             ]
     batch = args.file is not None
     for line in lines:
-        report = _classify_one(line, cfg)
-        if cfg.fmt == "json":
+        report = _classify_one(line)
+        if args.format == "json":
             out.write(json.dumps(report) + "\n")
         elif batch:
             certs = ", ".join(
-                f"D{_mu_str(c['mu'])}={_truncate(c['value'], cfg.truncate_digits)}"
+                f"D{_mu_str(c['mu'])}={_truncate(c['value'], args.truncate_digits)}"
                 for c in report["certificates"]
             )
             out.write(
@@ -131,19 +121,19 @@ def cmd_classify(args, cfg, out):
             for cert in report["certificates"]:
                 out.write(
                     f"certificate D{_mu_str(cert['mu'])} = "
-                    f"{_truncate(cert['value'], cfg.truncate_digits)}\n"
+                    f"{_truncate(cert['value'], args.truncate_digits)}\n"
                 )
     return EXIT_OK
 
 
-def cmd_dmu(args, cfg, out):
+def cmd_dmu(args, out):
     mu = _parse_mu(args.mu)
     if sum(mu) != args.n:
         raise ParseError(f"{_mu_str(mu)} does not partition n = {args.n}")
     if bool(args.symbolic) == bool(args.eval):
         raise ParseError("exactly one of --symbolic or --eval is required")
     if args.symbolic:
-        result = dmu(generic_poly(args.n), mu, symbolic_cap=cfg.symbolic_cap)
+        result = dmu(generic_poly(args.n), mu, symbolic_cap=args.symbolic_cap)
         value = result.value
         payload = {
             "n": args.n,
@@ -155,13 +145,13 @@ def cmd_dmu(args, cfg, out):
             "total_degree": value.total_degree() if value else 0,
             "terms": len(value.terms),
         }
-        if cfg.fmt == "json":
+        if args.format == "json":
             out.write(json.dumps(payload) + "\n")
         else:
             out.write(f"D_mu for mu = {_mu_str(mu)}, n = {args.n} (symbolic)\n")
             out.write(f"matrix dimension: {payload['matrix_dim']}\n")
             out.write(f"stack count |S_p|: {payload['term_count']}\n")
-            out.write(f"polynomial: {_truncate(payload['polynomial'], cfg.truncate_digits)}\n")
+            out.write(f"polynomial: {_truncate(payload['polynomial'], args.truncate_digits)}\n")
             out.write(f"total degree: {payload['total_degree']}\n")
             out.write(f"terms: {payload['terms']}\n")
     else:
@@ -177,15 +167,15 @@ def cmd_dmu(args, cfg, out):
             "term_count": result.term_count,
             "value": format_scalar(result.value),
         }
-        if cfg.fmt == "json":
+        if args.format == "json":
             out.write(json.dumps(payload) + "\n")
         else:
             out.write(f"D_mu for mu = {_mu_str(mu)}, n = {args.n}\n")
-            out.write(f"value: {_truncate(payload['value'], cfg.truncate_digits)}\n")
+            out.write(f"value: {_truncate(payload['value'], args.truncate_digits)}\n")
     return EXIT_OK
 
 
-def cmd_yhz(args, cfg, out):
+def cmd_yhz(args, out):
     mu = _parse_mu(args.mu)
     if sum(mu) != args.n:
         raise ParseError(f"{_mu_str(mu)} does not partition n = {args.n}")
@@ -212,8 +202,8 @@ def cmd_yhz(args, cfg, out):
             }
         )
     else:
-        if args.n > cfg.symbolic_cap:
-            raise CapExceeded(f"symbolic chain capped at degree {cfg.symbolic_cap}")
+        if args.n > args.symbolic_cap:
+            raise CapExceeded(f"symbolic chain capped at degree {args.symbolic_cap}")
         cond = yhz_condition(generic_poly(args.n), mu)
         count, max_deg = measured_size(cond)
         payload.update(
@@ -225,7 +215,7 @@ def cmd_yhz(args, cfg, out):
                 "measured_max_degree": max_deg,
             }
         )
-    if cfg.fmt == "json":
+    if args.format == "json":
         out.write(json.dumps(payload) + "\n")
         return EXIT_OK
     out.write(f"repeated-subresultant condition for mu = {_mu_str(mu)}, n = {args.n}\n")
@@ -234,15 +224,15 @@ def cmd_yhz(args, cfg, out):
     out.write(f"degree lower bound: {payload['degree_lower_bound']}\n")
     if args.eval:
         for i, v in enumerate(payload["equation_values"]):
-            out.write(f"equation {i}: {_truncate(v, cfg.truncate_digits)}\n")
-        out.write(f"inequation: {_truncate(payload['inequation_value'], cfg.truncate_digits)}\n")
+            out.write(f"equation {i}: {_truncate(v, args.truncate_digits)}\n")
+        out.write(f"inequation: {_truncate(payload['inequation_value'], args.truncate_digits)}\n")
         out.write(f"satisfied: {str(payload['satisfied']).lower()}\n")
     else:
         out.write(f"measured count: {payload['measured_count']}\n")
         out.write(f"measured max degree: {payload['measured_max_degree']}\n")
         for i, v in enumerate(payload["equations"]):
-            out.write(f"equation {i}: {_truncate(v, cfg.truncate_digits)}\n")
-        out.write(f"inequation: {_truncate(payload['inequation'], cfg.truncate_digits)}\n")
+            out.write(f"equation {i}: {_truncate(v, args.truncate_digits)}\n")
+        out.write(f"inequation: {_truncate(payload['inequation'], args.truncate_digits)}\n")
     return EXIT_OK
 
 
@@ -291,14 +281,14 @@ def _table_rows(n, measure_upto, symbolic_cap):
     return rows
 
 
-def cmd_table(args, cfg, out):
-    rows = _table_rows(args.n, args.measure_upto, cfg.symbolic_cap)
+def cmd_table(args, out):
+    rows = _table_rows(args.n, args.measure_upto, args.symbolic_cap)
     columns = ["n", "m", "mu", "num_new", "num_yhz", "d_new", "d_yhz"]
     if rows and "measured_d_new" in rows[0]:
         columns += ["measured_d_new", "measured_num_yhz", "measured_d_yhz", "match"]
-    if cfg.fmt == "json":
+    if args.format == "json":
         out.write(json.dumps(rows) + "\n")
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         out.write(",".join(columns) + "\n")
         for row in rows:
             out.write(",".join(_csv_cell(row.get(c)) for c in columns) + "\n")
@@ -317,9 +307,9 @@ def _csv_cell(value):
     return f'"{text}"' if "," in text else text
 
 
-def cmd_verify(args, cfg, out):
-    result = run_suite(args.suite, args.trials, cfg.seed)
-    if cfg.fmt == "json":
+def cmd_verify(args, out):
+    result = run_suite(args.suite, args.trials, args.seed)
+    if args.format == "json":
         payload = {
             "suite": result.suite,
             "trials": result.trials,
@@ -341,41 +331,40 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "json")):
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--truncate-digits", type=int, default=0,
-                       help="elide middles of long values in text output")
-        p.add_argument("--symbolic-cap", type=int, default=SYMBOLIC_CAP)
-
     p = sub.add_parser("classify", help="decide the multiplicity structure of a polynomial")
     p.add_argument("--coeffs", help='descending coefficients, e.g. "1,-1,-3,5,-2"')
     p.add_argument("--file", help="batch file, one polynomial per line, # comments")
-    common(p)
 
     p = sub.add_parser("dmu", help="the one-polynomial discriminant, symbolic or evaluated")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu", required=True, help='partition, e.g. "3,1"')
     p.add_argument("--symbolic", action="store_true")
     p.add_argument("--eval", help="coefficients to evaluate at")
-    common(p)
 
     p = sub.add_parser("yhz", help="the repeated-subresultant condition and its size")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--eval", help="coefficients to evaluate at")
-    common(p)
 
     p = sub.add_parser("table", help="size comparison of the two conditions for degree n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--measure-upto", type=int, default=0,
                    help="add symbolically measured columns when n is at most this")
-    common(p, formats=("text", "json", "csv"))
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
     p.add_argument("--suite", required=True, help=f"one of: {', '.join(sorted(SUITES))}")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
-    common(p)
+
+    # each subcommand takes only the shared options it reads
+    for name, p in sub.choices.items():
+        formats = ("text", "json", "csv") if name == "table" else ("text", "json")
+        p.add_argument("--format", choices=formats, default="text")
+        if name in ("classify", "dmu", "yhz"):
+            p.add_argument("--truncate-digits", type=int, default=0,
+                           help="elide middles of long values in text output")
+        if name in ("dmu", "yhz", "table"):
+            p.add_argument("--symbolic-cap", type=int, default=SYMBOLIC_CAP)
 
     return parser
 
@@ -397,14 +386,7 @@ def main(argv=None, out=None):
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        cfg = RunConfig(
-            command=args.command,
-            fmt=args.format,
-            seed=getattr(args, "seed", 7),
-            truncate_digits=args.truncate_digits,
-            symbolic_cap=args.symbolic_cap,
-        )
-        return COMMANDS[args.command](args, cfg, out)
+        return COMMANDS[args.command](args, out)
     except (AmbiguousClassification, ChainDegenerate) as exc:
         print(f"anomaly: {exc}", file=sys.stderr)
         return EXIT_ANOMALY

@@ -13,33 +13,28 @@ multiplicity structure of F is mu, so a classifier only has to find the
 number of distinct roots (principal subresultant coefficients of F, F')
 and then test each candidate partition.
 
-Numeric evaluation does not compute one determinant per rearrangement.
-The F-block rows x^j F (j < n - mu_m) span every multiple F h with
-deg h < n - mu_m, so each derivative row can be replaced by its remainder
-mod F: det(stack) = lc(F)^(n - mu_m) det(n x n remainder matrix).  The
+D_mu is not computed as one determinant per rearrangement.  The F-block
+rows x^j F (j < n - mu_m) span every multiple F h with deg h < n - mu_m,
+so each derivative row can be replaced by its remainder mod F:
+det(stack) = lc(F)^(n - mu_m) det(n x n remainder matrix).  The
 determinant is multilinear in its rows, so the sum over rearrangements is
 a DP over the counts of each part still to place; a state carries the
 wedge product of the rows placed so far, summed over every prefix that
 reaches it.  Remainders are pseudo-remainders with one power of lc per
-slot, divided out exactly at the end.
+slot, divided out exactly at the end.  The same DP runs over both
+coefficient rings: integers (numeric F, denominators cleared first) and
+SymPoly (the generic F, where lc is the variable a_0).
 """
 
 from dataclasses import dataclass
 
-from .combinat import (
-    check_partition,
-    expand_partition,
-    multiset_permutations,
-    partitions,
-    permutation_count,
-)
+from .combinat import check_partition, expand_partition, partitions, permutation_count
 from .errors import (
     AmbiguousClassification,
     CapExceeded,
     DegreeMismatch,
     ZeroPolynomial,
 )
-from .linalg import dp
 from .scalars import clear_denominators, exact_div
 from .subresultants import subresultant_chain
 from .sympoly import SymPoly
@@ -93,19 +88,21 @@ def dmu_rows(n, mu, sigma, F):
     return rows
 
 
-def _reduced_rows(Fz, values):
-    """Each slot's derivative rows, reduced mod F and scaled into the integers.
+def _reduced_rows(F, values):
+    """Each slot's derivative rows, reduced mod F inside the coefficient ring.
 
     rows[i][k] is the coefficient vector (x^(n-1) first) of
     lc^e_i * (x^(n-1-i) T_v mod F) for v = values[k], with T_v the v-th
     Taylor derivative.  Slots are built from the bottom one up: multiply
     by x and, when any row of the slot reaches x^n, take one
     pseudo-reduction step lc*row - top*F for all of them, so a whole slot
-    shares one power e_i of lc.  Returns the rows and sum(e_i).
+    shares one power e_i of lc.  The rows are pseudo-remainders, so every
+    entry stays in the ring of F's coefficients (int or SymPoly).  Returns
+    the rows and sum(e_i).
     """
-    n, lc = Fz.degree, Fz.lead
-    tail = [Fz.coeff(n - 1 - j) for j in range(n)]
-    taylors = [Fz.taylor_derivative(v) for v in values]
+    n, lc = F.degree, F.lead
+    tail = [F.coeff(n - 1 - j) for j in range(n)]
+    taylors = [F.taylor_derivative(v) for v in values]
     cur = [[t.coeff(n - 1 - j) for j in range(n)] for t in taylors]
     rows = [cur] * n
     e = total_e = 0
@@ -120,15 +117,18 @@ def _reduced_rows(Fz, values):
     return rows, total_e
 
 
-def _dmu_numeric(Fz, mu):
-    """D_mu of an integer polynomial, by a DP over the part counts still to place.
+def _dmu_remainder_dp(F, mu):
+    """D_mu of F, by a DP over the part counts still to place.
 
-    Each DP state holds the wedge product of the rows placed so far, summed
-    over every prefix that reaches it, as {column bitmask: coefficient}.
+    F has int or SymPoly coefficients.  Each DP state holds the wedge
+    product of the rows placed so far, summed over every prefix that
+    reaches it, as {column bitmask: coefficient in F's ring}.  The final
+    division by a power of lc is an exact_div in that ring (sympoly_div
+    for SymPoly).
     """
-    n = Fz.degree
+    n = F.degree
     values = sorted(set(mu))
-    rows, total_e = _reduced_rows(Fz, values)
+    rows, total_e = _reduced_rows(F, values)
     layer = {tuple(v * mu.count(v) for v in values): {0: 1}}
     for slot_rows in rows:
         slot = [[(1 << j, j + 1, c) for j, c in enumerate(r) if c] for r in slot_rows]
@@ -149,22 +149,15 @@ def _dmu_numeric(Fz, mu):
         layer = nxt
     (wedge,) = layer.values()
     total = wedge.get((1 << n) - 1, 0)
+    if not total:  # also keeps an int 0 away from a SymPoly divisor
+        return total
     # det(stack) = lc^(n - mu_m) det(remainder rows) / lc^(sum e_i).  The
     # T_(mu_m) row reaches x^n in slot n - mu_m - 1, so every slot
     # i < n - mu_m has e_i >= 1 and sum e_i >= n - mu_m.
-    return exact_div(total, Fz.lead ** (total_e - (n - mu[-1])))
+    return exact_div(total, F.lead ** (total_e - (n - mu[-1])))
 
 
-def _dmu_by_dp(F, mu):
-    """One dp determinant per rearrangement; the slow cross-check route."""
-    n = F.degree
-    total = 0
-    for sigma in multiset_permutations(expand_partition(mu)):
-        total = total + dp(dmu_rows(n, mu, sigma, F))
-    return total
-
-
-def dmu(F, mu, *, symbolic_cap=SYMBOLIC_CAP, engine="auto"):
+def dmu(F, mu, *, symbolic_cap=SYMBOLIC_CAP):
     """D_mu(F), exact; symbolic when F has symbolic coefficients.
 
     Numeric coefficients are normalised to integers by clearing
@@ -172,8 +165,6 @@ def dmu(F, mu, *, symbolic_cap=SYMBOLIC_CAP, engine="auto"):
     zero/nonzero verdict is unaffected and the reported value is the one
     for the scaled integer polynomial.
     """
-    if engine not in ("auto", "dp"):
-        raise ValueError(f"unknown engine: {engine}")
     mu = check_partition(mu)
     if not F:
         raise ZeroPolynomial("dmu of the zero polynomial")
@@ -182,17 +173,17 @@ def dmu(F, mu, *, symbolic_cap=SYMBOLIC_CAP, engine="auto"):
         raise DegreeMismatch(f"{mu} does not partition deg F = {n}")
     dim = 2 * n - mu[-1]
     term_count = permutation_count(expand_partition(mu))
-    if F.is_symbolic():
+    symbolic = F.is_symbolic()
+    if symbolic:
         if n > symbolic_cap:
             raise CapExceeded(f"symbolic dmu capped at degree {symbolic_cap}")
-        value = _dmu_by_dp(F, mu)
-        if isinstance(value, int):  # all-zero sum: normalise into the ring
-            value = SymPoly.const(n + 1, value)
-        return DmuResult(mu, "symbolic", value, term_count, dim)
-    ints, _ = clear_denominators(list(F.coeffs))
-    Fz = Poly(ints)
-    value = _dmu_by_dp(Fz, mu) if engine == "dp" else _dmu_numeric(Fz, mu)
-    return DmuResult(mu, "numeric", value, term_count, dim)
+    else:
+        ints, _ = clear_denominators(list(F.coeffs))
+        F = Poly(ints)
+    value = _dmu_remainder_dp(F, mu)
+    if symbolic and isinstance(value, int):  # all-zero sum: normalise into the ring
+        value = SymPoly.const(n + 1, value)
+    return DmuResult(mu, "symbolic" if symbolic else "numeric", value, term_count, dim)
 
 
 def psd_sequence(F):

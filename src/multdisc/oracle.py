@@ -7,6 +7,10 @@ the scaled derivative values at the roots divided by the repetition
 constant of the expanded tuple; the two sides are related by
 D_mu = lead^(n - mu_m) * Dbar_mu.
 
+dmu_by_stacks is the coefficient-side reference: the defining sum of one
+stack determinant per rearrangement, which the remainder DP in
+discriminant must reproduce.
+
 Identity checkers for the two supporting facts (the det/per sum over row
 permutations, and the coefficient-stack determinant as a ratio of root
 matrices) compute both sides independently and compare exactly.
@@ -16,7 +20,8 @@ import random
 from dataclasses import dataclass
 from itertools import permutations
 
-from .combinat import expand_partition, partitions, repetition_constant
+from .combinat import expand_partition, multiset_permutations, partitions, repetition_constant
+from .discriminant import dmu_rows
 from .errors import (
     DegreeMismatch,
     DegreeTooHigh,
@@ -93,6 +98,18 @@ def dbar_mu(F, alphas, mu, *, cap=PERMANENT_CAP):
         rows.append([t(a) for a in alphas])
     per = permanent(Matrix(rows), cap=cap)
     return exact_div(per, repetition_constant(p))
+
+
+def dmu_by_stacks(F, mu):
+    """D_mu(F) as the sum of dp(stack) over every rearrangement sigma.
+
+    F is taken as given, in its own coefficient ring: no denominators are
+    cleared, so for rational F this is dmu(F).value / factor^(2n - mu_m).
+    """
+    total = 0
+    for sigma in multiset_permutations(expand_partition(mu)):
+        total = total + dp(dmu_rows(F.degree, mu, sigma, F))
+    return total
 
 
 def check_det_per_identity(A, B):

@@ -66,7 +66,10 @@ def _exact_div_int(a, b):
         raise TypeError(f"cannot divide int by {type(b).__name__}")
     quot, rem = divmod(a, b)
     if rem:
-        raise NonExactDivision(f"{a} is not divisible by {b}")
+        # sizes, not digits: str(int) refuses values over 4300 digits
+        raise NonExactDivision(
+            f"an int of {a.bit_length()} bits is not divisible by one of {b.bit_length()} bits"
+        )
     return quot
 
 

@@ -1,8 +1,10 @@
-"""Smoke test of the benchmark harness: one traced round of the wide workload.
+"""Smoke test of the benchmark harness: one traced round per workload.
 
-It checks that the harness runs and that its spans still reach the library
-(the tracer patches names such as multdisc.discriminant.dmu); it makes no
-timing assertion.
+wide drives the numeric D_mu through classify; symbolic drives the symbolic
+D_mu (checked against the pinned term counts and the degree 2n - mu_m) and
+yhz.  Each round checks that the harness runs, that every answer is
+correct and that its spans still reach the library (the tracer patches
+names such as multdisc.discriminant.dmu); it makes no timing assertion.
 """
 
 import json
@@ -10,12 +12,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bench_wide_traced_round():
+@pytest.mark.parametrize("workload", ["wide", "symbolic"])
+def test_bench_traced_round(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "wide", "--seed", "1", "--seconds", "0", "--trace", "1"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,

@@ -164,6 +164,11 @@ def test_verify_pass_and_unknown():
     assert "6/6 trials passed" in text  # 5 random + the symbolic anchor
     code, _ = run(["verify", "--suite", "nosuch"])
     assert code == EXIT_USAGE
+    # options a subcommand does not use are unknown to it
+    code, _ = run(["classify", "--coeffs", "1,-1,-3,5,-2", "--symbolic-cap", "3"])
+    assert code == EXIT_USAGE
+    code, _ = run(["table", "--n", "4", "--truncate-digits", "1"])
+    assert code == EXIT_USAGE
 
 
 def test_verify_json():

@@ -19,7 +19,8 @@ from multdisc.errors import (
     ZeroPolynomial,
 )
 from multdisc.combinat import expand_partition, multiset_permutations, partitions
-from multdisc.oracle import RootSpec, poly_from_roots, random_instance
+from multdisc.oracle import RootSpec, dmu_by_stacks, poly_from_roots, random_instance
+from multdisc.scalars import clear_denominators
 from multdisc.subresultants import subresultant_det
 from multdisc.sympoly import SymPoly
 from multdisc.unipoly import Poly, generic_poly, parse_poly
@@ -50,11 +51,12 @@ def test_symbolic_quartic_is_the_known_condition():
 
 
 def test_numeric_anchors_both_engines():
-    for engine in ("auto", "dp"):
-        assert dmu(F31, (3, 1), engine=engine).value == -729
-        assert dmu(F31, (2, 2), engine=engine).value == 0
-        assert dmu(F22, (3, 1), engine=engine).value == 0
-        assert dmu(F22, (2, 2), engine=engine).value == 256
+    # the remainder DP and the per-stack reference
+    for evaluate in (lambda F, mu: dmu(F, mu).value, dmu_by_stacks):
+        assert evaluate(F31, (3, 1)) == -729
+        assert evaluate(F31, (2, 2)) == 0
+        assert evaluate(F22, (3, 1)) == 0
+        assert evaluate(F22, (2, 2)) == 256
 
 
 def test_engines_agree_on_random_instances():
@@ -64,18 +66,20 @@ def test_engines_agree_on_random_instances():
         spec = random_instance(rng.randrange(2**32), n, rng.randint(1, n))
         F = poly_from_roots(spec)
         nu = rng.choice(partitions(n, rng.randint(1, n)))
-        assert dmu(F, nu).value == dmu(F, nu, engine="dp").value
+        assert dmu(F, nu).value == dmu_by_stacks(F, nu)
 
 
 def test_symbolic_specialises_to_numeric():
     # the symbolic polynomial evaluated at integer points equals the
-    # integer engine's value: ties the two modes together
+    # integer value: ties the two modes together; both run the remainder
+    # DP, so the symbolic value is also checked against the stack sum
     rng = random.Random(77)
     for n in (3, 4, 5):
         Fsym = generic_poly(n)
         for m in range(1, n + 1):
             for mu in partitions(n, m):
                 sym = dmu(Fsym, mu).value
+                assert sym == dmu_by_stacks(Fsym, mu)
                 for _ in range(3):
                     coeffs = [rng.choice([1, 2, -1, -3])] + [
                         rng.randint(-4, 4) for _ in range(n)
@@ -99,7 +103,7 @@ def test_engine_stress_degenerate_inputs():
             m = rng.randint(1, n)
             F = poly_from_roots(random_instance(rng.randrange(2**32), n, m))
         mu = rng.choice(partitions(n, rng.randint(1, n)))
-        assert dmu(F, mu).value == dmu(F, mu, engine="dp").value
+        assert dmu(F, mu).value == dmu_by_stacks(F, mu)
     # rational coefficients (denominator clearing), a 10-digit lead (the
     # lc powers on the remainder rows) and a zero constant term
     for trial in range(18):
@@ -112,8 +116,11 @@ def test_engine_stress_degenerate_inputs():
             F = poly_from_roots(RootSpec(spec.roots, spec.mults, lead))
         else:
             F = Poly(list(poly_from_roots(spec).coeffs) + [0])
+        # dmu clears denominators by factor; D_mu has degree 2n - nu_m
+        _, factor = clear_denominators(list(F.coeffs))
         for nu in partitions(F.degree, rng.randint(1, F.degree)):
-            assert dmu(F, nu).value == dmu(F, nu, engine="dp").value
+            scale = factor ** dmu_degree(F.degree, nu)
+            assert dmu(F, nu).value == scale * dmu_by_stacks(F, nu)
 
 
 def test_dmu_rows_first_example_block():
@@ -176,7 +183,14 @@ def test_dmu_guards():
         dmu(F31, (3, 2))
     with pytest.raises(CapExceeded):
         dmu(generic_poly(7), (6, 1))
-    assert dmu(generic_poly(7), (6, 1), symbolic_cap=7).matrix_dim == 13
+    result = dmu(generic_poly(7), (6, 1), symbolic_cap=7)
+    assert result.matrix_dim == 13
+    assert len(result.value.terms) == 37
+    assert result.value.is_homogeneous()
+    assert result.value.total_degree() == 13
+    # a0 x^3 has no full-rank stack: the value is the zero of the ring
+    zero = dmu(Poly([SymPoly.variable(4, 0), 0, 0, 0]), (2, 1)).value
+    assert isinstance(zero, SymPoly) and not zero
 
 
 def test_symbolic_homogeneity_small_degrees():

@@ -40,6 +40,8 @@ def test_exact_div_integers():
     assert exact_div(-6, 3) == -2
     with pytest.raises(NonExactDivision):
         exact_div(5, 2)
+    with pytest.raises(NonExactDivision):  # beyond the int-to-str digit limit
+        exact_div(10**5000 + 1, 10**4999)
     with pytest.raises(ZeroDivisionError):
         exact_div(5, 0)
 
