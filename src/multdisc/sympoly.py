@@ -186,10 +186,12 @@ class SymPoly:
 def sympoly_div(a, b):
     """Exact multivariate division a / b, raising NonExactDivision otherwise.
 
-    Standard single-divisor reduction: repeatedly cancel the graded-lex
-    leading term of the remainder against the leading term of b.  When a
-    is an exact multiple the remainder reaches zero; any non-divisible
-    leading term (monomial or integer coefficient) proves it is not.
+    A monomial b (the power of a_0 the remainder DP divides by) divides
+    each term on its own.  Otherwise this is standard single-divisor
+    reduction: repeatedly cancel the graded-lex leading term of the
+    remainder against the leading term of b.  When a is an exact multiple
+    the remainder reaches zero; any non-divisible leading term (monomial
+    or integer coefficient) proves it is not.
     """
     if isinstance(b, int):
         if b == 0:
@@ -200,6 +202,16 @@ def sympoly_div(a, b):
         return SymPoly(a.nvars, out)
     if not b:
         raise ZeroDivisionError("exact division by zero polynomial")
+    if len(b.terms) == 1:
+        # a monomial divides term by term, with no leading-term search
+        ((be, bc),) = b.terms.items()
+        out = {}
+        for e, c in a.terms.items():
+            qe = tuple(x - y for x, y in zip(e, be))
+            if any(x < 0 for x in qe):
+                raise NonExactDivision("monomial does not divide a term")
+            out[qe] = exact_div(c, bc)
+        return SymPoly(a.nvars, out)
     be, bc = b.leading_term()
     rem = dict(a.terms)
     quot = {}

@@ -50,6 +50,18 @@ def test_classify_certificate_beyond_int_str_limit():
     assert Decimal(printed) == Decimal(disc.dmu(F, (3, 1)).value)
 
 
+def test_classify_degree_14():
+    # five distinct roots: every 5-part partition of 14 is a candidate
+    F = poly_from_roots(RootSpec((2, -1, 3, 0, -3), (5, 3, 3, 2, 1), 1))
+    code, text = run(["classify", "--coeffs", ",".join(map(format_scalar, F.coeffs)), "--format", "json"])
+    assert code == EXIT_OK
+    payload = json.loads(text)
+    assert payload["degree"] == 14 and payload["ndr"] == 5
+    assert payload["multiplicity"] == [5, 3, 3, 2, 1]
+    nonzero = [c["mu"] for c in payload["certificates"] if c["value"] != "0"]
+    assert nonzero == [[5, 3, 3, 2, 1]]
+
+
 def test_classify_leading_zero():
     code, _ = run(["classify", "--coeffs", "0,1,2"])
     assert code == EXIT_USAGE

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -121,6 +122,38 @@ def test_engine_stress_degenerate_inputs():
         for nu in partitions(F.degree, rng.randint(1, F.degree)):
             scale = factor ** dmu_degree(F.degree, nu)
             assert dmu(F, nu).value == scale * dmu_by_stacks(F, nu)
+
+
+def _cross_check_inputs(rng, n):
+    """Degree-n inputs for the power-sum engine: root-built with each kind
+    of lead, a zero constant term, sparse, 100-digit and rational."""
+    spec = random_instance(rng.randrange(2**32), n, rng.randint(1, n))
+    ten_digits = rng.choice((1, -1)) * rng.randint(10**9, 10**10 - 1)
+    for lead in (1, -1, 2, -2, ten_digits):
+        yield poly_from_roots(RootSpec(spec.roots, spec.mults, lead))
+    yield Poly(list(poly_from_roots(random_instance(rng.randrange(2**32), n - 1, 1)).coeffs) + [0])
+    yield Poly([rng.choice((1, -2))] + [rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(n)])
+    yield Poly([rng.choice((1, -1)) * rng.randint(10**99, 10**100 - 1) for _ in range(n + 1)])
+    yield Poly([Fraction(c, rng.randint(1, 9)) for c in poly_from_roots(spec).coeffs])
+
+
+def test_power_sums_match_the_remainder_dp():
+    # the power-sum engine against the remainder DP, on every partition
+    rng = random.Random(2024)
+    zeros = 0
+    for n in range(2, 9):
+        for F in _cross_check_inputs(rng, n):
+            ints, _ = clear_denominators(list(F.coeffs))
+            for m in range(1, n + 1):
+                for nu in partitions(n, m):
+                    value = dmu(F, nu).value
+                    assert value == disc._dmu_remainder_dp(Poly(ints), nu)
+                    zeros += not value
+    assert zeros  # wrong candidates of the root-built inputs vanish
+    # mu = (n,) gives lc^n; mu = (1,)*n gives lc^(n-1) prod F'(root)
+    F = poly_from_roots(RootSpec((3, -1, 4), (1, 1, 1), 2))
+    assert dmu(F, (3,)).value == 2**3
+    assert dmu(F, (1, 1, 1)).value == 2**2 * prod(F.derivative()(r) for r in (3, -1, 4))
 
 
 def test_dmu_rows_first_example_block():

@@ -75,6 +75,19 @@ def test_exact_division():
         exact_div(3 * a0, 2)
 
 
+def test_exact_division_by_a_monomial():
+    # the remainder DP's final division: one term, so no leading-term search
+    cube = a0**3
+    num = 6 * a0**4 * a1 - 4 * a0**3 * a2**2 + 2 * a0**5
+    assert exact_div(num, cube) == 6 * a0 * a1 - 4 * a2**2 + 2 * a0**2
+    assert exact_div(num, 2 * cube) == 3 * a0 * a1 - 2 * a2**2 + a0**2
+    assert exact_div(SymPoly.zero(NV), cube) == 0
+    with pytest.raises(NonExactDivision):
+        exact_div(num + a0**2 * a1**2, cube)  # a0^2 a1^2 lacks a0^3
+    with pytest.raises(NonExactDivision):
+        exact_div(num, 4 * cube)  # 6 and 2 are not multiples of 4
+
+
 def test_evaluate():
     p = 2 * a0**2 * a1 - 3 * a2
     assert p.evaluate([2, 5, 7, 0]) == 2 * 4 * 5 - 21
