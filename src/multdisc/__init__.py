@@ -2,7 +2,6 @@
 
 from .combinat import (
     expand_partition,
-    format_partition,
     multiset_permutations,
     parse_partition,
     partitions,
@@ -38,7 +37,6 @@ from .yhz import (
     YhzCondition,
     measured_size,
     s_sequence,
-    subresultant,
     yhz_condition,
     yhz_count,
     yhz_degree,

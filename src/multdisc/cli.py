@@ -28,7 +28,7 @@ from .errors import (
 )
 from .scalars import format_scalar, parse_scalar
 from .suites import SUITES, run_suite
-from .unipoly import Poly, generic_poly
+from .unipoly import generic_poly, parse_poly
 from .yhz import (
     measured_size,
     yhz_condition,
@@ -59,13 +59,11 @@ def _parse_mu(text):
 
 
 def _parse_input_poly(text):
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ParseError("empty coefficient list")
-    scalars = [parse_scalar(p) for p in parts]
-    if not scalars[0]:
+    poly = parse_poly(text)  # raises ParseError on an empty field
+    # Poly drops leading zeros, so the lead is checked on the raw field
+    if not parse_scalar(text.split(",", 1)[0]):
         raise LeadingZero(f"leading coefficient is zero: {text!r}")
-    return Poly(scalars)
+    return poly
 
 
 def _mu_str(mu):
@@ -308,6 +306,8 @@ def _csv_cell(value):
 
 
 def cmd_verify(args, out):
+    if args.trials < 1:
+        raise ParseError(f"--trials must be at least 1, got {args.trials}")
     result = run_suite(args.suite, args.trials, args.seed)
     if args.format == "json":
         payload = {

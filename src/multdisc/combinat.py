@@ -34,10 +34,6 @@ def parse_partition(text):
     return check_partition(mu)
 
 
-def format_partition(mu):
-    return ",".join(map(str, mu))
-
-
 def partitions(n, m):
     """All partitions of n into exactly m parts, in descending lex order."""
     if m < 1 or m > n:

@@ -13,31 +13,35 @@ multiplicity structure of F is mu, so a classifier only has to find the
 number of distinct roots (principal subresultant coefficients of F, F')
 and then test each candidate partition.
 
-D_mu is not computed as one determinant per rearrangement.  Two engines
-evaluate it, chosen by the coefficient ring of F.
+D_mu is not computed as one determinant per rearrangement.  Write lc for
+the leading coefficient of F, T_v = F^(v)/v! for a distinct part v,
+c_v = v * #{i : mu_i = v}, and d(a) = sum_v a_v (n - v).  The root-side
+identity is D_mu = lc^(n - mu_m) Dbar_mu, where Dbar_mu is the coefficient
+of s^c in prod over the roots alpha of sum_v s_v T_v(alpha).  Scaled to the
+roots beta = lc*alpha of the monic G(y) = lc^(n-1) F(y/lc), the
+polynomials U_v(y) = lc^(n-v) T_v(y/lc) have coefficients in F's ring and
+U_v(beta) = lc^(n-v) T_v(alpha).  The matrix M_v of multiplication by U_v
+mod G has the eigenvalues U_v(beta), so
 
-Integer F (numeric input, denominators cleared first) goes to
-_dmu_power_sums.  By the root-side identity D_mu = lc^(n - mu_m) Dbar_mu,
-and Dbar_mu is a symmetric function of the roots: the coefficient of s^c
-in prod over the roots of (1 + sum_v s_v T_v(alpha)), T_v = F^(v)/v!.  It
-follows from the power sums of the roots (Newton's identities on F's
-coefficients) and a second Newton recurrence over the multi-indices
-a <= c, with about prod_v (c_v + 1) products of n x n matrices by
-vectors, polynomial in n.
+    E(c) = [s^c] det(sum_v s_v M_v) = lc^d(c) Dbar_mu,
 
-SymPoly F (the generic F, where lc is the variable a_0) goes to
-_dmu_remainder_dp, which is faster over that ring: there the power-sum
-recurrence multiplies dense SymPolys and takes more than twice as long
-(every partition at n = 5 and at n = 6).  The F-block rows x^j F
-(j < n - mu_m) span every multiple F h with deg h < n - mu_m, so each
-derivative row can be replaced by its remainder mod F:
-det(stack) = lc(F)^(n - mu_m) det(n x n remainder matrix).  The
-determinant is multilinear in its rows, so the sum over rearrangements is
-a DP over the counts of each part still to place; a state carries the
-wedge product of the rows placed so far, summed over every prefix that
-reaches it, with up to C(n, n/2) column sets.  Remainders are
-pseudo-remainders with one power of lc per slot, divided out exactly at
-the end.
+and D_mu = E(c) / lc^(d(c) - (n - mu_m)), one exact division.
+_scaled_columns builds the M_v with ring operations only, for int and
+SymPoly coefficients alike.  Two kernels read E(c) off them, chosen by the
+coefficient ring:
+
+* _newton_traces, for integer F (numeric input, denominators cleared
+  first).  Newton's identities on G give the power sums of beta, hence the
+  traces of the products prod_v M_v^(a_v); a second Newton recurrence over
+  the multi-indices a <= c turns those traces into E(c).  The work is about
+  prod_v (c_v + 1) products of an n x n matrix by a vector, polynomial in n.
+* _wedge_dp, for SymPoly F (the generic F, where lc is the variable a_0).
+  The determinant is multilinear in its columns, so E(c) sums det over
+  every way to take column j from some M_v, c_v columns from each.  A DP
+  over the counts still to place carries the wedge product of the columns
+  taken so far, with up to C(n, n/2) row bitmasks per state.  Over SymPoly
+  it is about four times faster than the Newton kernel, whose recurrence
+  multiplies dense SymPolys (summed over every partition at n = 5, 6).
 """
 
 from array import array
@@ -107,51 +111,44 @@ def dmu_rows(n, mu, sigma, F):
     return rows
 
 
-def _reduced_rows(F, values):
-    """Each slot's derivative rows, reduced mod F inside the coefficient ring.
+def _scaled_columns(F, values):
+    """G's lower coefficients and the columns of the M_v, v in values.
 
-    rows[i][k] is the coefficient vector (x^(n-1) first) of
-    lc^e_i * (x^(n-1-i) T_v mod F) for v = values[k], with T_v the v-th
-    Taylor derivative.  Slots are built from the bottom one up: multiply
-    by x and, when any row of the slot reaches x^n, take one
-    pseudo-reduction step lc*row - top*F for all of them, so a whole slot
-    shares one power e_i of lc.  The rows are pseudo-remainders, so every
-    entry stays in the ring of F's coefficients (int or SymPoly).  Returns
-    the rows and sum(e_i).
+    G(y) = y^n + g[0] y^(n-1) + ... + g[n-1] with g[i-1] = a_i lc^(i-1).
+    cols[k][j] is the coefficient vector, y^0 first, of U_v y^j mod G for
+    v = values[k]; column j + 1 is column j times y, reduced by one
+    multiple of G.  Only ring operations are used.
     """
     n, lc = F.degree, F.lead
-    tail = [F.coeff(n - 1 - j) for j in range(n)]
-    taylors = [F.taylor_derivative(v) for v in values]
-    cur = [[t.coeff(n - 1 - j) for j in range(n)] for t in taylors]
-    rows = [cur] * n
-    e = total_e = 0
-    for i in range(n - 2, -1, -1):
-        if any(r[0] for r in cur):
-            e += 1
-            cur = [[lc * a - r[0] * f for a, f in zip(r[1:] + [0], tail)] for r in cur]
-        else:
-            cur = [r[1:] + [0] for r in cur]
-        rows[i] = cur
-        total_e += e
-    return rows, total_e
+    lc_pows = [lc**i for i in range(n)]
+    g = [F.coeff(n - i) * lc_pows[i - 1] for i in range(1, n + 1)]
+    cols = []
+    for v in values:
+        t = F.taylor_derivative(v)
+        col = [t.coeff(j) * lc_pows[n - v - j] for j in range(n - v + 1)] + [0] * (v - 1)
+        mv = [col]
+        for _ in range(n - 1):
+            top = col[-1]
+            col = [0] + col[:-1]
+            if top:
+                col = [x - top * gi for x, gi in zip(col, reversed(g))]
+            mv.append(col)
+        cols.append(mv)
+    return g, cols
 
 
-def _dmu_remainder_dp(F, mu):
-    """D_mu of F, by a DP over the part counts still to place.
+def _wedge_dp(cols, c):
+    """E(c), by a DP over the counts c of columns still to take from each M_v.
 
-    dmu runs it on SymPoly F; int F works too, and the tests compare it
-    there with _dmu_power_sums.  Each DP state holds the wedge
-    product of the rows placed so far, summed over every prefix that
-    reaches it, as {column bitmask: coefficient in F's ring}.  The final
-    division by a power of lc is an exact_div in that ring (sympoly_div
-    for SymPoly).
+    Column j is taken from one M_v per step, and each DP state holds the
+    wedge product of the columns taken so far, summed over every choice
+    that reaches it, as {row bitmask: coefficient}.  det(A) = det(A^T), so
+    the columns are wedged like rows.
     """
-    n = F.degree
-    values = sorted(set(mu))
-    rows, total_e = _reduced_rows(F, values)
-    layer = {tuple(v * mu.count(v) for v in values): {0: 1}}
-    for slot_rows in rows:
-        slot = [[(1 << j, j + 1, c) for j, c in enumerate(r) if c] for r in slot_rows]
+    n = len(cols[0])
+    layer = {tuple(c): {0: 1}}
+    for j in range(n):
+        slot = [[(1 << i, i + 1, x) for i, x in enumerate(col[j]) if x] for col in cols]
         nxt = {}
         for state, wedge in layer.items():
             for k, left in enumerate(state):
@@ -159,27 +156,21 @@ def _dmu_remainder_dp(F, mu):
                     continue
                 out = nxt.setdefault(state[:k] + (left - 1,) + state[k + 1 :], {})
                 for mask, coef in wedge.items():
-                    for bit, above, c in slot[k]:
+                    for bit, above, x in slot[k]:
                         if mask & bit:
                             continue
-                        # e_S ^ e_j = (-1)^#{s in S: s > j} e_(S+j)
-                        term = -coef * c if (mask >> above).bit_count() & 1 else coef * c
+                        # e_S ^ e_i = (-1)^#{s in S: s > i} e_(S+i)
+                        term = -coef * x if (mask >> above).bit_count() & 1 else coef * x
                         new = mask | bit
                         out[new] = out.get(new, 0) + term
         layer = nxt
     (wedge,) = layer.values()
-    total = wedge.get((1 << n) - 1, 0)
-    if not total:  # also keeps an int 0 away from a SymPoly divisor
-        return total
-    # det(stack) = lc^(n - mu_m) det(remainder rows) / lc^(sum e_i).  The
-    # T_(mu_m) row reaches x^n in slot n - mu_m - 1, so every slot
-    # i < n - mu_m has e_i >= 1 and sum e_i >= n - mu_m.
-    return exact_div(total, F.lead ** (total_e - (n - mu[-1])))
+    return wedge.get((1 << n) - 1, 0)
 
 
 @lru_cache(maxsize=256)
-def _power_sum_plan(n, mu):
-    """The tables of _dmu_power_sums that depend on mu only.
+def _power_sum_plan(mu):
+    """The multi-index table of _newton_traces, which depends on mu only.
 
     The multi-indices 0 <= a <= c over the distinct parts v, with
     c_v = v * #{i : mu_i = v}, are numbered in mixed radix with the first
@@ -189,7 +180,6 @@ def _power_sum_plan(n, mu):
     multinomial (-1)^(|a|-1) |a|! / prod a_v!; |a|; and the numbers of
     every 0 <= a' <= a in ascending order.  The box is symmetric under
     a' -> a - a', so reading it backwards gives the matching a - a'.
-    Also returns the parts and d(c) = sum c_v (n - v).
     """
     values = sorted(set(mu))
     c = [v * mu.count(v) for v in values]
@@ -210,63 +200,35 @@ def _power_sum_plan(n, mu):
         box.sort()
         idx = len(rows) + 1
         rows.append((k, idx - strides[k], weight if size % 2 else -weight, size, array("i", box)))
-    d_c = sum(ck * (n - v) for ck, v in zip(c, values))
-    return tuple(values), tuple(rows), d_c
+    return tuple(rows)
 
 
-def _dmu_power_sums(F, mu):
-    """D_mu of an integer F from the power sums of its roots.
+def _newton_traces(g, cols, plan):
+    """E(c), from the power sums Q_k of the roots beta of G.
 
-    Dbar_mu is the coefficient of s^c in prod over the roots alpha of
-    (1 + sum_v s_v T_v(alpha)), a symmetric function of the roots, so it
-    is reached from F's coefficients alone.  Everything is scaled to the
-    roots beta = lc*alpha of the monic integer polynomial
-    G(y) = lc^(n-1) F(y/lc): U_v(beta) = lc^(n-v) T_v(alpha) is an integer
-    polynomial, and so are the power sums Q_k of beta (Newton's
-    identities on G).  The products prod_v U_v^(a_v) are kept reduced mod
-    G, each from its predecessor times one U_v (an n x n matrix), so their
-    traces tau(a) over the roots need only Q_0..Q_(n-1).  Newton's
-    identities in the s_v, |b| E(b) = sum over 0 < a <= b of
-    (-1)^(|a|-1) |a|!/prod a_v! E(b - a) tau(a), then give
-    E(c) = lc^d(c) Dbar_mu, and D_mu = lc^(n - mu_m) Dbar_mu.  Both
-    divisions are exact_div, so a wrong step raises instead of returning.
+    The products prod_v U_v^(a_v) are kept reduced mod G, each from its
+    predecessor times one M_v, so their traces tau(a) over the roots need
+    only Q_0..Q_(n-1).  Newton's identities in the s_v,
+    |b| E(b) = sum over 0 < a <= b of (-1)^(|a|-1) |a|!/prod a_v!
+    E(b - a) tau(a), then give E(c).  The division by |b| is exact_div,
+    so a wrong step raises instead of returning.
     """
-    n, lc = F.degree, F.lead
-    values, rows, d_c = _power_sum_plan(n, mu)
-    lc_pows = [lc**i for i in range(n)]
-    # G(y) = y^n + g[0] y^(n-1) + ... + g[n-1], g[i-1] = a_i lc^(i-1)
-    g = [F.coeff(n - i) * lc_pows[i - 1] for i in range(1, n + 1)]
+    n = len(g)
     # Newton: Q_k = -k g_k - sum_(0<i<k) g_i Q_(k-i), with g_i = g[i-1]
     Q = [n]
     for k in range(1, n):
         Q.append(-k * g[k - 1] - sum(map(mul, g[: k - 1], Q[:0:-1])))
-    # mats[k][i][j]: the y^i coefficient of U_v y^j mod G, v = values[k]
-    mats = []
-    for v in values:
-        t = F.taylor_derivative(v)
-        col = [t.coeff(j) * lc_pows[n - v - j] for j in range(n - v + 1)] + [0] * (v - 1)
-        cols = [col]
-        for _ in range(n - 1):
-            top = col[-1]
-            col = [0] + col[:-1]
-            if top:
-                col = [x - top * gi for x, gi in zip(col, reversed(g))]
-            cols.append(col)
-        mats.append(list(zip(*cols)))
+    # mats[k][i][j]: the y^i coefficient of U_v y^j mod G, v the k-th part
+    mats = [list(zip(*mv)) for mv in cols]
     # reduced products, their signed weighted traces and E, in number order
     polys, traces, E = [[1] + [0] * (n - 1)], [0], [1]
-    for k, pred, weight, size, box in rows:
+    for k, pred, weight, size, box in plan:
         p = [sum(map(mul, row, polys[pred])) for row in mats[k]]
         polys.append(p)
         traces.append(weight * sum(map(mul, p, Q)))
         acc = sum(map(mul, map(traces.__getitem__, box[1:]), map(E.__getitem__, box[-2::-1])))
         E.append(exact_div(acc, size))
-    total = E[-1]
-    if not total:
-        return 0
-    # d(c) = n^2 - sum mu_i^2 >= n - mu_m: for m >= 2 it is
-    # sum_{i != j} mu_i mu_j >= 2 mu_m (n - mu_m); for m = 1 both are 0
-    return exact_div(total, lc ** (d_c - (n - mu[-1])))
+    return E[-1]
 
 
 def dmu(F, mu, *, symbolic_cap=SYMBOLIC_CAP):
@@ -285,16 +247,26 @@ def dmu(F, mu, *, symbolic_cap=SYMBOLIC_CAP):
         raise DegreeMismatch(f"{mu} does not partition deg F = {n}")
     dim = 2 * n - mu[-1]
     term_count = permutation_count(expand_partition(mu))
+    values = sorted(set(mu))
     symbolic = F.is_symbolic()
     if symbolic:
         if n > symbolic_cap:
             raise CapExceeded(f"symbolic dmu capped at degree {symbolic_cap}")
-        value = _dmu_remainder_dp(F, mu)
-        if isinstance(value, int):  # all-zero sum: normalise into the ring
-            value = SymPoly.const(n + 1, value)
+        _, cols = _scaled_columns(F, values)
+        total = _wedge_dp(cols, [v * mu.count(v) for v in values])
     else:
         ints, _ = clear_denominators(list(F.coeffs))
-        value = _dmu_power_sums(Poly(ints), mu)
+        F = Poly(ints)
+        g, cols = _scaled_columns(F, values)
+        total = _newton_traces(g, cols, _power_sum_plan(mu))
+    # d(c) = n^2 - sum mu_i^2 >= n - mu_m: for m >= 2 it is
+    # sum_{i != j} mu_i mu_j >= 2 mu_m (n - mu_m); for m = 1 both are 0.
+    # A zero total skips the division, which keeps an int 0 away from a
+    # SymPoly divisor.
+    d_c = n * n - sum(p * p for p in mu)
+    value = exact_div(total, F.lead ** (d_c - (n - mu[-1]))) if total else total
+    if symbolic and isinstance(value, int):  # normalise into the ring
+        value = SymPoly.const(n + 1, value)
     return DmuResult(mu, "symbolic" if symbolic else "numeric", value, term_count, dim)
 
 

@@ -70,19 +70,15 @@ class Matrix:
         return f"Matrix({[list(r) for r in self.rows]!r})"
 
 
-def det(m, method="auto"):
+def det(m):
     """Exact determinant; zero is returned for singular matrices."""
     if not m.is_square():
         raise NotSquare(f"determinant of a {m.nrows}x{m.ncols} matrix")
     if m.nrows == 0:
         return 1
-    if method == "auto":
-        method = "expansion" if m.is_symbolic() and m.nrows <= EXPANSION_LIMIT else "bareiss"
-    if method == "bareiss":
-        return _det_bareiss(m.rows)
-    if method == "expansion":
+    if m.is_symbolic() and m.nrows <= EXPANSION_LIMIT:
         return _det_expansion(m.rows)
-    raise ValueError(f"unknown determinant method: {method}")
+    return _det_bareiss(m.rows)
 
 
 def _det_bareiss(rows):
@@ -202,7 +198,7 @@ def row_permute(tau, m):
     return Matrix([m.rows[inv[i]] for i in range(n)])
 
 
-def dp(polys, method="auto"):
+def dp(polys):
     """Determinant of the square coefficient matrix of N polynomials.
 
     Row i holds the coefficients of polys[i] padded to length N, descending
@@ -217,4 +213,4 @@ def dp(polys, method="auto"):
         if p.degree >= size:
             raise DegreeTooHigh(f"degree {p.degree} row in a {size}-row stack")
     rows = [[p.coeff(size - 1 - j) for j in range(size)] for p in polys]
-    return det(Matrix(rows), method=method)
+    return det(Matrix(rows))

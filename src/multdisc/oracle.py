@@ -8,7 +8,7 @@ constant of the expanded tuple; the two sides are related by
 D_mu = lead^(n - mu_m) * Dbar_mu.
 
 dmu_by_stacks is the coefficient-side reference: the defining sum of one
-stack determinant per rearrangement, which the remainder DP in
+stack determinant per rearrangement, which both D_mu kernels in
 discriminant must reproduce.
 
 Identity checkers for the two supporting facts (the det/per sum over row

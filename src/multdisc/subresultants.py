@@ -90,7 +90,7 @@ def subresultant_chain(P, Q):
     return chain
 
 
-def subresultant_det(P, Q, k, p=None, q=None, method="auto"):
+def subresultant_det(P, Q, k, p=None, q=None):
     """S_k(P, Q) by the determinant definition, optionally at formal degrees.
 
     p and q default to the actual degrees; passing larger values evaluates
@@ -124,10 +124,10 @@ def subresultant_det(P, Q, k, p=None, q=None, method="auto"):
     for j in range(k, -1, -1):
         picked = list(range(nrows - 1)) + [top_degree - j]
         sub = Matrix([[row[t] for t in picked] for row in rows])
-        coeffs.append(det(sub, method=method))
+        coeffs.append(det(sub))
     return Poly(coeffs)
 
 
-def resultant(P, Q, method="auto"):
+def resultant(P, Q):
     """res(P, Q) for deg P > deg Q, as the constant coefficient of S_0."""
-    return subresultant_det(P, Q, 0, method=method).coeff(0)
+    return subresultant_det(P, Q, 0).coeff(0)

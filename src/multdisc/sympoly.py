@@ -186,7 +186,7 @@ class SymPoly:
 def sympoly_div(a, b):
     """Exact multivariate division a / b, raising NonExactDivision otherwise.
 
-    A monomial b (the power of a_0 the remainder DP divides by) divides
+    A monomial b (the power of a_0 that symbolic dmu divides by) divides
     each term on its own.  Otherwise this is standard single-divisor
     reduction: repeatedly cancel the graded-lex leading term of the
     remainder against the leading term of b.  When a is an exact multiple

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .combinat import check_partition
-from .errors import ChainDegenerate, DegreeMismatch, DegreeOutOfRange
-from .subresultants import subresultant_chain, subresultant_det
+from .errors import ChainDegenerate, DegreeMismatch
+from .subresultants import subresultant_det
 
 
 @dataclass(frozen=True)
@@ -71,25 +71,6 @@ def yhz_degree_lower_bound(n, mu2):
     if mu2 < 1:
         raise ValueError("mu_2 must be at least 1")
     return 2 * n + 3 ** mu2 - 4 * mu2
-
-
-def subresultant(G, k, method=None):
-    """The k-th subresultant of G and G'.
-
-    Numeric input goes through the remainder-sequence path, symbolic input
-    through the determinant definition; method="prs"/"det" forces a route.
-    """
-    if G.degree < 1:
-        raise DegreeMismatch("subresultant needs deg G >= 1")
-    if not 0 <= k < G.degree:
-        raise DegreeOutOfRange(f"subresultant index {k} outside 0..{G.degree - 1}")
-    if method is None:
-        method = "det" if G.is_symbolic() else "prs"
-    if method == "prs":
-        return subresultant_chain(G, G.derivative())[k]
-    if method == "det":
-        return subresultant_det(G, G.derivative(), k)
-    raise ValueError(f"unknown subresultant method: {method}")
 
 
 def yhz_condition(F, mu):

@@ -67,6 +67,14 @@ def test_classify_leading_zero():
     assert code == EXIT_USAGE
 
 
+def test_classify_empty_field():
+    # an empty field is an error, not a dropped coefficient
+    for coeffs in ("1,,-1", "1,-2,1,"):
+        code, text = run(["classify", "--coeffs", coeffs])
+        assert code == EXIT_USAGE
+        assert text == ""
+
+
 def test_classify_requires_one_source(tmp_path):
     code, _ = run(["classify"])
     assert code == EXIT_USAGE
@@ -181,6 +189,13 @@ def test_verify_pass_and_unknown():
     assert code == EXIT_USAGE
     code, _ = run(["table", "--n", "4", "--truncate-digits", "1"])
     assert code == EXIT_USAGE
+
+
+def test_verify_rejects_trials_below_one():
+    for trials in ("0", "-3"):
+        code, text = run(["verify", "--suite", "lemma2", "--trials", trials])
+        assert code == EXIT_USAGE
+        assert text == ""
 
 
 def test_verify_json():

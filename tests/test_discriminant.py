@@ -52,7 +52,7 @@ def test_symbolic_quartic_is_the_known_condition():
 
 
 def test_numeric_anchors_both_engines():
-    # the remainder DP and the per-stack reference
+    # dmu (the Newton kernel on integers) and the per-stack reference
     for evaluate in (lambda F, mu: dmu(F, mu).value, dmu_by_stacks):
         assert evaluate(F31, (3, 1)) == -729
         assert evaluate(F31, (2, 2)) == 0
@@ -72,8 +72,8 @@ def test_engines_agree_on_random_instances():
 
 def test_symbolic_specialises_to_numeric():
     # the symbolic polynomial evaluated at integer points equals the
-    # integer value: ties the two modes together; both run the remainder
-    # DP, so the symbolic value is also checked against the stack sum
+    # integer value: ties the two modes, and so the two kernels, together;
+    # the symbolic value is also checked against the stack sum
     rng = random.Random(77)
     for n in (3, 4, 5):
         Fsym = generic_poly(n)
@@ -125,7 +125,7 @@ def test_engine_stress_degenerate_inputs():
 
 
 def _cross_check_inputs(rng, n):
-    """Degree-n inputs for the power-sum engine: root-built with each kind
+    """Degree-n inputs for the numeric kernels: root-built with each kind
     of lead, a zero constant term, sparse, 100-digit and rational."""
     spec = random_instance(rng.randrange(2**32), n, rng.randint(1, n))
     ten_digits = rng.choice((1, -1)) * rng.randint(10**9, 10**10 - 1)
@@ -137,19 +137,37 @@ def _cross_check_inputs(rng, n):
     yield Poly([Fraction(c, rng.randint(1, 9)) for c in poly_from_roots(spec).coeffs])
 
 
-def test_power_sums_match_the_remainder_dp():
-    # the power-sum engine against the remainder DP, on every partition
+def _both_kernels(F, nu):
+    """E(c) from the wedge DP and from the Newton kernel, on the same columns."""
+    values = sorted(set(nu))
+    g, cols = disc._scaled_columns(F, values)
+    wedge = disc._wedge_dp(cols, [v * nu.count(v) for v in values])
+    return wedge, disc._newton_traces(g, cols, disc._power_sum_plan(nu))
+
+
+def test_wedge_dp_matches_newton_traces():
+    # the two kernels against each other on every partition, and dmu
+    # against the per-stack sum, which shares none of their setup
     rng = random.Random(2024)
     zeros = 0
     for n in range(2, 9):
         for F in _cross_check_inputs(rng, n):
-            ints, _ = clear_denominators(list(F.coeffs))
+            ints, factor = clear_denominators(list(F.coeffs))
             for m in range(1, n + 1):
                 for nu in partitions(n, m):
+                    wedge, newton = _both_kernels(Poly(ints), nu)
+                    assert wedge == newton
                     value = dmu(F, nu).value
-                    assert value == disc._dmu_remainder_dp(Poly(ints), nu)
                     zeros += not value
+                    if n <= 6:
+                        assert value == factor ** dmu_degree(n, nu) * dmu_by_stacks(F, nu)
     assert zeros  # wrong candidates of the root-built inputs vanish
+    # the symbolic columns, where lc is the variable a_0
+    for n in (4, 5):
+        for m in range(1, n + 1):
+            for nu in partitions(n, m):
+                wedge, newton = _both_kernels(generic_poly(n), nu)
+                assert wedge == newton
     # mu = (n,) gives lc^n; mu = (1,)*n gives lc^(n-1) prod F'(root)
     F = poly_from_roots(RootSpec((3, -1, 4), (1, 1, 1), 2))
     assert dmu(F, (3,)).value == 2**3

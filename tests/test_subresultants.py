@@ -11,7 +11,6 @@ from multdisc.subresultants import (
     subresultant_det,
 )
 from multdisc.unipoly import Poly, generic_poly
-from multdisc.yhz import subresultant
 
 from helpers import psd_oracle
 
@@ -107,21 +106,23 @@ def test_subresultant_yhz_op_routes_agree():
                 G = G * Poly([1, -r])
         if G.degree < 1:
             continue
+        dG = G.derivative()
         for k in range(G.degree):
-            assert subresultant(G, k, method="prs") == subresultant(G, k, method="det")
+            assert subresultant_chain(G, dG)[k] == subresultant_det(G, dG, k)
+    G = Poly([1, 2, 3])
     with pytest.raises(DegreeOutOfRange):
-        subresultant(Poly([1, 2, 3]), 2)
+        subresultant_det(G, G.derivative(), 2)
 
 
 def test_gcd_like_subresultant():
     # (x-1)^2 (x+2): the first subresultant has 1 as a root
     G = poly_from_roots(RootSpec(roots=(1, -2), mults=(2, 1), lead=1))
-    s1 = subresultant(G, 1)
+    s1 = subresultant_chain(G, G.derivative())[1]
     assert s1.degree == 1
     assert s1(1) == 0
     # squarefree cubic: nonzero resultant in degree 0
     H = poly_from_roots(RootSpec(roots=(1, 2, 5), mults=(1, 1, 1), lead=1))
-    s0 = subresultant(H, 0)
+    s0 = subresultant_chain(H, H.derivative())[0]
     assert s0.degree == 0 and s0.coeff(0) != 0
 
 

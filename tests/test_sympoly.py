@@ -76,7 +76,7 @@ def test_exact_division():
 
 
 def test_exact_division_by_a_monomial():
-    # the remainder DP's final division: one term, so no leading-term search
+    # symbolic dmu's final division: one term, so no leading-term search
     cube = a0**3
     num = 6 * a0**4 * a1 - 4 * a0**3 * a2**2 + 2 * a0**5
     assert exact_div(num, cube) == 6 * a0 * a1 - 4 * a2**2 + 2 * a0**2
