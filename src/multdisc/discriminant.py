@@ -40,8 +40,9 @@ coefficient ring:
   every way to take column j from some M_v, c_v columns from each.  A DP
   over the counts still to place carries the wedge product of the columns
   taken so far, with up to C(n, n/2) row bitmasks per state.  Over SymPoly
-  it is about four times faster than the Newton kernel, whose recurrence
-  multiplies dense SymPolys (summed over every partition at n = 5, 6).
+  it is faster than the Newton kernel, whose recurrence multiplies dense
+  SymPolys: summed over every partition, 0.07 vs 0.20 s at n = 6 and
+  1.0 vs 4.0 s at n = 7 (2 CPUs, Python 3.11.7).
 """
 
 from array import array

@@ -2,14 +2,30 @@
 
 The indeterminates are the symbolic coefficients a_0..a_n of a univariate
 polynomial, so every SymPoly carries a fixed variable count nvars = n + 1.
-Terms live in a dict mapping exponent tuples (length nvars) to nonzero int
+Terms live in a dict mapping packed monomial keys to nonzero int
 coefficients; the term dict itself is the canonical form, so two SymPolys
 are equal iff their dicts are equal.  Instances are treated as immutable:
 no operation mutates an existing term dict.
 
-The graded-lex order (total degree first, then lexicographic with a_0 the
-most significant variable) is used for canonical printing and for leading
-terms during exact division; the term dict itself is order-free.
+Packed keys (M. Monagan and R. Pearce, "POLY: a new polynomial data
+structure for Maple 17", 2012).  The exponent vector (e_0, ..., e_n) of a
+monomial is stored as one int made of nvars + 1 fields of WIDTH bits each:
+the total degree sum(e) in the most significant field, then e_0, ..., e_n
+with e_0 the most significant of them.  Comparing two keys as ints
+compares the total degree first and then the exponents lexicographically
+with a_0 the most significant variable, which is the graded-lex order
+used for canonical printing and for leading terms during exact division.
+
+Every SymPoly has total degree at most FIELD_MAX = 2**WIDTH - 1, so no
+field ever holds more than FIELD_MAX.  The constructor rejects larger
+exponent tuples, and multiplication checks that the two operands' total
+degrees sum to at most FIELD_MAX before it multiplies monomials by adding
+their keys; the sum of two keys then never carries from one field into
+its neighbour.  Division subtracts keys only after checking every field,
+because a borrow across fields would give a valid-looking wrong key.
+
+The public form stays the exponent tuple: the constructor, leading_term
+and repr take or give tuples, and evaluate, degree_in and str unpack.
 """
 
 from math import prod
@@ -17,9 +33,35 @@ from math import prod
 from .errors import NonExactDivision
 from .scalars import exact_div
 
+WIDTH = 16
+FIELD_MAX = (1 << WIDTH) - 1
 
-def _glex_key(exps):
-    return (sum(exps), exps)
+
+def _pack(nvars, exps):
+    if len(exps) != nvars:
+        raise ValueError(f"exponent tuple {exps!r} does not have {nvars} entries")
+    key = 0
+    for k in exps:
+        if not 0 <= k <= FIELD_MAX:
+            raise ValueError(f"exponent {k} outside [0, {FIELD_MAX}]")
+        key = (key << WIDTH) | k
+    degree = sum(exps)
+    if degree > FIELD_MAX:
+        raise ValueError(f"total degree {degree} exceeds {FIELD_MAX}")
+    return (degree << (WIDTH * nvars)) | key
+
+
+def _unpack(nvars, key):
+    return tuple((key >> (WIDTH * i)) & FIELD_MAX for i in range(nvars - 1, -1, -1))
+
+
+def _fields(nvars, key):
+    """(shift, exponent) of every nonzero exponent field of a packed key."""
+    return [(s, k) for s in range(0, WIDTH * nvars, WIDTH) if (k := (key >> s) & FIELD_MAX)]
+
+
+def _divides(fields, key):
+    return all((key >> s) & FIELD_MAX >= k for s, k in fields)
 
 
 class SymPoly:
@@ -27,7 +69,19 @@ class SymPoly:
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        self.terms = {e: c for e, c in terms.items() if c} if terms else {}
+        self.terms = {}
+        for e, c in (terms or {}).items():
+            key = _pack(nvars, e)
+            if c:
+                self.terms[key] = c
+
+    @classmethod
+    def _packed(cls, nvars, terms):
+        # terms already has packed keys and no zero coefficients
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, nvars):
@@ -35,7 +89,7 @@ class SymPoly:
 
     @classmethod
     def const(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: int(value)} if value else None)
+        return cls._packed(nvars, {0: int(value)} if value else {})
 
     @classmethod
     def variable(cls, nvars, index):
@@ -63,7 +117,7 @@ class SymPoly:
         return self.terms == other.terms
 
     def __neg__(self):
-        return SymPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return SymPoly._packed(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -76,7 +130,7 @@ class SymPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return SymPoly(self.nvars, out)
+        return SymPoly._packed(self.nvars, out)
 
     __radd__ = __add__
 
@@ -95,21 +149,28 @@ class SymPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             if not other:
-                return SymPoly(self.nvars)
-            return SymPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+                return SymPoly._packed(self.nvars, {})
+            return SymPoly._packed(self.nvars, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return SymPoly._packed(self.nvars, {})
+        shift = WIDTH * self.nvars
+        if (max(a) >> shift) + (max(b) >> shift) > FIELD_MAX:
+            raise ValueError(f"product total degree exceeds {FIELD_MAX}")
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+        b_items = b.items()
+        for e1, c1 in a.items():
+            for e2, c2 in b_items:
+                e = e1 + e2
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        return SymPoly(self.nvars, out)
+        return SymPoly._packed(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -128,24 +189,27 @@ class SymPoly:
     def total_degree(self):
         if not self.terms:
             raise ValueError("the zero polynomial has no total degree")
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> (WIDTH * self.nvars)
 
     def degree_in(self, index):
         if not self.terms:
             raise ValueError("the zero polynomial has no degree")
-        return max(e[index] for e in self.terms)
+        if not 0 <= index < self.nvars:
+            raise IndexError(f"variable index {index} out of range for {self.nvars} variables")
+        shift = WIDTH * (self.nvars - 1 - index)
+        return max((e >> shift) & FIELD_MAX for e in self.terms)
 
     def is_homogeneous(self):
         """True for the zero polynomial and for equal-total-degree term sets."""
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
+        shift = WIDTH * self.nvars
+        return len({e >> shift for e in self.terms}) <= 1
 
     def leading_term(self):
         """(exponents, coefficient) of the graded-lex leading term."""
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
-        e = max(self.terms, key=_glex_key)
-        return e, self.terms[e]
+        e = max(self.terms)
+        return _unpack(self.nvars, e), self.terms[e]
 
     def evaluate(self, values):
         """Substitute numeric values (int/Fraction) for a_0..a_n."""
@@ -153,17 +217,17 @@ class SymPoly:
             raise ValueError(f"expected {self.nvars} values, got {len(values)}")
         total = 0
         for e, c in self.terms.items():
-            total += c * prod(v ** k for v, k in zip(values, e) if k)
+            total += c * prod(v ** k for v, k in zip(values, _unpack(self.nvars, e)) if k)
         return total
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_glex_key, reverse=True):
+        for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
             factors = []
-            for i, k in enumerate(e):
+            for i, k in enumerate(_unpack(self.nvars, e)):
                 if k == 1:
                     factors.append(f"a{i}")
                 elif k > 1:
@@ -180,7 +244,8 @@ class SymPoly:
         return " ".join([head] + parts[1:])
 
     def __repr__(self):
-        return f"SymPoly({self.nvars}, {self.terms!r})"
+        terms = {_unpack(self.nvars, e): c for e, c in self.terms.items()}
+        return f"SymPoly({self.nvars}, {terms!r})"
 
 
 def sympoly_div(a, b):
@@ -191,7 +256,8 @@ def sympoly_div(a, b):
     reduction: repeatedly cancel the graded-lex leading term of the
     remainder against the leading term of b.  When a is an exact multiple
     the remainder reaches zero; any non-divisible leading term (monomial
-    or integer coefficient) proves it is not.
+    or integer coefficient) proves it is not.  Both paths check every
+    exponent field before subtracting keys.
     """
     if isinstance(b, int):
         if b == 0:
@@ -199,40 +265,44 @@ def sympoly_div(a, b):
         out = {}
         for e, c in a.terms.items():
             out[e] = exact_div(c, b)
-        return SymPoly(a.nvars, out)
+        return SymPoly._packed(a.nvars, out)
     if not b:
         raise ZeroDivisionError("exact division by zero polynomial")
     if len(b.terms) == 1:
         # a monomial divides term by term, with no leading-term search
         ((be, bc),) = b.terms.items()
+        fields = _fields(b.nvars, be)
         out = {}
         for e, c in a.terms.items():
-            qe = tuple(x - y for x, y in zip(e, be))
-            if any(x < 0 for x in qe):
+            if not _divides(fields, e):
                 raise NonExactDivision("monomial does not divide a term")
-            out[qe] = exact_div(c, bc)
-        return SymPoly(a.nvars, out)
-    be, bc = b.leading_term()
+            out[e - be] = exact_div(c, bc)
+        return SymPoly._packed(a.nvars, out)
+    be = max(b.terms)
+    bc = b.terms[be]
+    fields = _fields(b.nvars, be)
     rem = dict(a.terms)
     quot = {}
     while rem:
-        re = max(rem, key=_glex_key)
+        re = max(rem)
         rc = rem[re]
-        qe = tuple(x - y for x, y in zip(re, be))
-        if any(x < 0 for x in qe):
+        if not _divides(fields, re):
             raise NonExactDivision("leading monomial not divisible")
         qc, leftover = divmod(rc, bc)
         if leftover:
             raise NonExactDivision("leading coefficient not divisible")
+        qe = re - be
         quot[qe] = qc
+        # b's leading term has its largest total degree, so qe + e never
+        # exceeds the degree of re and no field carries
         for e, c in b.terms.items():
-            key = tuple(x + y for x, y in zip(qe, e))
+            key = qe + e
             s = rem.get(key, 0) - qc * c
             if s:
                 rem[key] = s
             else:
                 rem.pop(key, None)
-    return SymPoly(a.nvars, quot)
+    return SymPoly._packed(a.nvars, quot)
 
 
 exact_div.register(SymPoly, sympoly_div)

@@ -18,6 +18,7 @@ from multdisc.errors import ChainDegenerate
 from multdisc.oracle import RootSpec, dbar_mu, poly_from_roots, random_instance
 from multdisc.subresultants import subresultant_det
 from multdisc.suites import run_suite
+from multdisc.sympoly import SymPoly
 from multdisc.unipoly import generic_poly
 from multdisc.yhz import measured_size, yhz_condition, yhz_count, yhz_degree
 
@@ -85,7 +86,7 @@ def test_criterion_1_symbolic_exactness():
     payload = json.loads(out.getvalue())
     assert payload["terms"] == 6
     value = dmu(generic_poly(4), (3, 1)).value
-    assert value.terms == C1_PRIME
+    assert value == SymPoly(5, C1_PRIME)
     assert str(value) == payload["polynomial"]
     _report("1 symbolic C1' exactness", time.perf_counter() - start, 1.0)
 
@@ -207,3 +208,18 @@ def test_criterion_8_specialisations(roundtrip):
     for spec, _, report in results:
         assert report.ndr == len(spec.roots), spec
     _report("8 discriminant specialisations", time.perf_counter() - start, 600.0)
+
+
+def test_criterion_9_measured_comparison_n7():
+    # the paper's size comparison, measured symbolically one degree past
+    # the default SYMBOLIC_CAP
+    start = time.perf_counter()
+    out = io.StringIO()
+    argv = ["table", "--n", "7", "--measure-upto", "7", "--symbolic-cap", "7", "--format", "json"]
+    assert main(argv, out=out) == EXIT_OK
+    rows = json.loads(out.getvalue())
+    assert len(rows) == 12
+    for row in rows:
+        assert row["match"] == "true", row
+        assert row["num_new"] <= row["num_yhz"] and row["d_new"] < row["d_yhz"], row
+    _report("9 measured comparison n=7", time.perf_counter() - start, 120.0)

@@ -46,7 +46,7 @@ def test_symbolic_quartic_is_the_known_condition():
     assert result.mode == "symbolic"
     assert result.term_count == 4
     assert result.matrix_dim == 7
-    assert result.value.terms == C1_PRIME
+    assert result.value == SymPoly(5, C1_PRIME)
     assert result.value.is_homogeneous()
     assert result.value.total_degree() == 7
 

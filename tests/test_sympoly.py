@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from multdisc.errors import NonExactDivision
 from multdisc.scalars import exact_div
-from multdisc.sympoly import SymPoly
+from multdisc.sympoly import FIELD_MAX, WIDTH, SymPoly, _unpack
 
 from helpers import random_sympoly
 
@@ -62,6 +62,8 @@ def test_degrees():
     assert SymPoly.zero(NV).is_homogeneous()
     with pytest.raises(ValueError):
         SymPoly.zero(NV).total_degree()
+    with pytest.raises(IndexError):
+        p.degree_in(NV)
 
 
 def test_exact_division():
@@ -86,6 +88,58 @@ def test_exact_division_by_a_monomial():
         exact_div(num + a0**2 * a1**2, cube)  # a0^2 a1^2 lacks a0^3
     with pytest.raises(NonExactDivision):
         exact_div(num, 4 * cube)  # 6 and 2 are not multiples of 4
+
+
+def test_degree_guard():
+    top = a0 ** (2**WIDTH - 1)
+    assert top.total_degree() == top.degree_in(0) == FIELD_MAX
+    assert str(top) == f"a0^{FIELD_MAX}"
+    with pytest.raises(ValueError):
+        a0 ** (2**WIDTH)
+    with pytest.raises(ValueError):
+        top * a1
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [
+        (1, 0, 0),  # too short
+        (1, 0, 0, 0, 0),  # too long
+        (0, -1, 0, 0),
+        (2**WIDTH, 0, 0, 0),
+        (FIELD_MAX, 1, 0, 0),  # each field fits, the total degree does not
+    ],
+)
+def test_constructor_rejects_bad_exponents(exps):
+    with pytest.raises(ValueError):
+        sym({exps: 1})
+
+
+def test_division_checks_every_exponent_field():
+    # subtracting the packed keys would borrow across fields here
+    for num, den in ((a0 * a2, a1), (a1**2, a0), (a0 * a2, a1 + a2), (a1**2 * a2, a0 + a2)):
+        with pytest.raises(NonExactDivision):
+            exact_div(num, den)
+    with pytest.raises(NonExactDivision):
+        exact_div(2 * a0 + 3 * a1, 2)
+    with pytest.raises(NonExactDivision):
+        exact_div(2 * a0 * a1 + 3 * a1, 2 * a1)
+
+
+@st.composite
+def exponent_tuples(draw):
+    """NV exponents summing to a total degree near 0 or near FIELD_MAX."""
+    total = draw(st.one_of(st.integers(0, 6), st.integers(FIELD_MAX - 6, FIELD_MAX)))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=NV - 1, max_size=NV - 1)))
+    return tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [total]))
+
+
+@given(st.lists(exponent_tuples(), min_size=1, max_size=8, unique=True))
+def test_packed_order_is_graded_lex(exps):
+    p = sym({e: i + 1 for i, e in enumerate(exps)})
+    glex = sorted(exps, key=lambda e: (sum(e), e))
+    assert [_unpack(NV, key) for key in sorted(p.terms)] == glex
+    assert p.leading_term() == (glex[-1], exps.index(glex[-1]) + 1)
 
 
 def test_evaluate():

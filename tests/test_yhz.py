@@ -6,6 +6,7 @@ from multdisc.combinat import partitions
 from multdisc.discriminant import dmu
 from multdisc.errors import DegreeMismatch
 from multdisc.oracle import poly_from_roots, random_instance
+from multdisc.sympoly import SymPoly
 from multdisc.unipoly import generic_poly, parse_poly
 from multdisc.yhz import (
     measured_size,
@@ -95,8 +96,8 @@ def test_degree_bound_exhaustive():
 def test_quartic_condition_matches_published_pair():
     cond = yhz_condition(generic_poly(4), (3, 1))
     assert len(cond.equations) == 1
-    assert cond.equations[0].terms == C1
-    assert cond.inequation.terms == C2
+    assert cond.equations[0] == SymPoly(5, C1)
+    assert cond.inequation == SymPoly(5, C2)
     assert measured_size(cond) == (2, 9)
 
 
