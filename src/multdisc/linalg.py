@@ -4,9 +4,11 @@ Determinants are computed fraction-free (Bareiss elimination with exact
 divisions and first-nonzero pivoting); for symbolic matrices, which here
 are banded and mostly zero, a division-free minor expansion memoised on
 column subsets is selected instead, because Bareiss intermediate swell on
-multivariate entries costs more than structured expansion.  Permanents use
-Ryser's inclusion-exclusion with a Gray-code walk and are capped, since
-the permanent only ever backs small oracle computations.
+multivariate entries costs more than structured expansion.  The
+expansion accumulates each minor once: one sympoly.sum_of_products over
+its signed (entry, smaller minor) pairs.  Permanents use Ryser's
+inclusion-exclusion with a Gray-code walk and are capped, since the
+permanent only ever backs small oracle computations.
 """
 
 from .errors import (
@@ -16,7 +18,7 @@ from .errors import (
     NotSquare,
 )
 from .scalars import exact_div
-from .sympoly import SymPoly
+from .sympoly import SymPoly, sum_of_products
 
 EXPANSION_LIMIT = 20
 PERMANENT_CAP = 14
@@ -113,7 +115,8 @@ def _det_expansion(rows):
     The submatrix is determined by its column mask alone (always the last
     popcount(mask) rows), so at most 2^n states exist and zero entries
     skip whole branches; on the banded matrices this module sees, far
-    fewer states are ever touched.
+    fewer states are ever touched.  Each state sums its signed
+    (entry, minor) products with one sum_of_products.
     """
     n = len(rows)
     memo = {0: 1}
@@ -123,20 +126,18 @@ def _det_expansion(rows):
             return memo[mask]
         except KeyError:
             pass
-        r = n - bin(mask).count("1")
-        row = rows[r]
-        total = 0
-        sign = 1
+        row = rows[n - mask.bit_count()]
+        pairs = []
+        negate = False
         m = mask
         while m:
             low = m & -m
-            j = low.bit_length() - 1
-            e = row[j]
+            e = row[low.bit_length() - 1]
             if e:
-                total = total + sign * e * rec(mask ^ low)
-            sign = -sign
+                pairs.append((-e if negate else e, rec(mask ^ low)))
+            negate = not negate
             m ^= low
-        memo[mask] = total
+        total = memo[mask] = sum_of_products(pairs)
         return total
 
     return rec((1 << n) - 1)

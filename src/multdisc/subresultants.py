@@ -25,6 +25,11 @@ Two routes compute the same chain:
   see the collapsed degrees and compute a different object, while the
   padded determinants commute with specialisation.  This route is the
   symbolic path and the cross-check oracle for the other one.
+
+principal_coefficient gives the x^k coefficient of subresultant_det's
+S_k alone, with the same arguments and checks: one determinant, of the
+leading (p+q-2k)-square block, instead of k + 1.  The repeated-subresultant
+condition reads only principal coefficients outside its chain steps.
 """
 
 from .errors import DegreeOutOfRange, ZeroPolynomial
@@ -90,12 +95,8 @@ def subresultant_chain(P, Q):
     return chain
 
 
-def subresultant_det(P, Q, k, p=None, q=None):
-    """S_k(P, Q) by the determinant definition, optionally at formal degrees.
-
-    p and q default to the actual degrees; passing larger values evaluates
-    the same determinants with padded leading zeros.
-    """
+def _formal_degrees(P, Q, k, p, q):
+    """The formal degrees (p, q), defaulted and checked against P, Q and k."""
     if p is None:
         if not P:
             raise ZeroPolynomial("formal degree required for a zero polynomial")
@@ -110,22 +111,53 @@ def subresultant_det(P, Q, k, p=None, q=None):
         raise ValueError("subresultants need formal degrees p > q >= 0")
     if not 0 <= k <= q:
         raise DegreeOutOfRange(f"subresultant index {k} outside 0..{q}")
+    return p, q
+
+
+def _sylvester_rows(P, Q, k, p, q, ncols):
+    """The p+q-2k rows of S_k's matrix, cut to its first ncols columns."""
+    top_degree = p + q - k - 1
+    rows = []
+    for shift in range(q - k - 1, -1, -1):
+        rows.append([P.coeff(top_degree - t - shift) for t in range(ncols)])
+    for shift in range(p - k - 1, -1, -1):
+        rows.append([Q.coeff(top_degree - t - shift) for t in range(ncols)])
+    return rows
+
+
+def subresultant_det(P, Q, k, p=None, q=None):
+    """S_k(P, Q) by the determinant definition, optionally at formal degrees.
+
+    p and q default to the actual degrees; passing larger values evaluates
+    the same determinants with padded leading zeros.
+    """
+    p, q = _formal_degrees(P, Q, k, p, q)
     if k == q:
         c = Q.coeff(q)
         return Q.scale(c ** (p - q - 1)) if p - q - 1 else Q
     nrows = p + q - 2 * k
     top_degree = p + q - k - 1
-    rows = []
-    for shift in range(q - k - 1, -1, -1):
-        rows.append([P.coeff(top_degree - t - shift) for t in range(top_degree + 1)])
-    for shift in range(p - k - 1, -1, -1):
-        rows.append([Q.coeff(top_degree - t - shift) for t in range(top_degree + 1)])
+    rows = _sylvester_rows(P, Q, k, p, q, top_degree + 1)
     coeffs = []
     for j in range(k, -1, -1):
         picked = list(range(nrows - 1)) + [top_degree - j]
         sub = Matrix([[row[t] for t in picked] for row in rows])
         coeffs.append(det(sub))
     return Poly(coeffs)
+
+
+def principal_coefficient(P, Q, k, p=None, q=None):
+    """The x^k coefficient of S_k(P, Q), with subresultant_det's arguments.
+
+    For k < q it is the determinant of the leading (p+q-2k)-square block
+    of S_k's matrix, the only one of subresultant_det's k + 1
+    determinants it needs; for k = q it is Q's x^q coefficient to the
+    power p - q.
+    """
+    p, q = _formal_degrees(P, Q, k, p, q)
+    if k == q:
+        return Q.coeff(q) ** (p - q)
+    return det(Matrix(_sylvester_rows(P, Q, k, p, q, p + q - 2 * k)))
 
 
 def resultant(P, Q):

@@ -24,8 +24,18 @@ their keys; the sum of two keys then never carries from one field into
 its neighbour.  Division subtracts keys only after checking every field,
 because a borrow across fields would give a valid-looking wrong key.
 
+Sums of products.  sum_of_products(pairs) returns the sum of x * y over
+(x, y) pairs of ints and SymPolys.  It adds every monomial product
+straight into one term dict and drops zero coefficients once at the end,
+so a dot product builds no SymPoly per product and never copies a partial
+sum, as a chain of __mul__ and __add__ would.  The product-degree guard
+and the variable-count check run once per pair.  __mul__ is the one-pair
+case; the symbolic determinant kernels (linalg's minor expansion and the
+discriminant's wedge DP) call it with one list per sum.
+
 The public form stays the exponent tuple: the constructor, leading_term
-and repr take or give tuples, and evaluate, degree_in and str unpack.
+and repr take or give tuples, and evaluate and degree_in unpack.  str
+reads each exponent field with a shift and a mask.
 """
 
 from math import prod
@@ -147,30 +157,9 @@ class SymPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return SymPoly._packed(self.nvars, {})
-            return SymPoly._packed(self.nvars, {e: c * other for e, c in self.terms.items()})
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (int, SymPoly)):
             return NotImplemented
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return SymPoly._packed(self.nvars, {})
-        shift = WIDTH * self.nvars
-        if (max(a) >> shift) + (max(b) >> shift) > FIELD_MAX:
-            raise ValueError(f"product total degree exceeds {FIELD_MAX}")
-        out = {}
-        b_items = b.items()
-        for e1, c1 in a.items():
-            for e2, c2 in b_items:
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return SymPoly._packed(self.nvars, out)
+        return sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
@@ -223,15 +212,15 @@ class SymPoly:
     def __str__(self):
         if not self.terms:
             return "0"
+        names = [(WIDTH * (self.nvars - 1 - i), f"a{i}") for i in range(self.nvars)]
         parts = []
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
             factors = []
-            for i, k in enumerate(_unpack(self.nvars, e)):
-                if k == 1:
-                    factors.append(f"a{i}")
-                elif k > 1:
-                    factors.append(f"a{i}^{k}")
+            for shift, name in names:
+                k = (e >> shift) & FIELD_MAX
+                if k:
+                    factors.append(name if k == 1 else f"{name}^{k}")
             if not factors:
                 body = str(abs(c))
             elif abs(c) == 1:
@@ -246,6 +235,66 @@ class SymPoly:
     def __repr__(self):
         terms = {_unpack(self.nvars, e): c for e, c in self.terms.items()}
         return f"SymPoly({self.nvars}, {terms!r})"
+
+
+def sum_of_products(pairs):
+    """The sum of x * y over the (x, y) pairs, each x and y an int or a SymPoly.
+
+    Every product is added straight into one term dict, and the zero
+    coefficients are dropped once at the end, so a dot product allocates
+    no intermediate SymPoly.  Each pair gets __mul__'s checks: all SymPoly
+    operands share one variable count, and a product of two nonzero
+    SymPolys has total degree at most FIELD_MAX, else ValueError.  The
+    result is a SymPoly, zero included, when any operand is one, and the
+    plain int sum otherwise.
+    """
+    nvars = shift = None
+    out = {}
+    get = out.get
+    const = 0
+    for x, y in pairs:
+        if isinstance(x, SymPoly):
+            if isinstance(y, SymPoly):
+                if x.nvars != nvars or y.nvars != nvars:
+                    nvars, shift = _common_nvars(nvars, x, y)
+                a, b = x.terms, y.terms
+                if not a or not b:
+                    continue
+                if (max(a) >> shift) + (max(b) >> shift) > FIELD_MAX:
+                    raise ValueError(f"product total degree exceeds {FIELD_MAX}")
+                b = b.items()
+                for e1, c1 in a.items():
+                    for e2, c2 in b:
+                        e = e1 + e2
+                        out[e] = get(e, 0) + c1 * c2
+                continue
+            x, y = y, x
+        elif not isinstance(y, SymPoly):
+            const += x * y
+            continue
+        # x is an int and y a SymPoly
+        if y.nvars != nvars:
+            nvars, shift = _common_nvars(nvars, y)
+        if x:
+            for e, c in y.terms.items():
+                out[e] = get(e, 0) + c * x
+    if nvars is None:
+        return const
+    if const:
+        out[0] = get(0, 0) + const
+    if 0 in out.values():
+        out = {e: c for e, c in out.items() if c}
+    return SymPoly._packed(nvars, out)
+
+
+def _common_nvars(nvars, *polys):
+    """(nvars, key shift) shared by the polys and the earlier operands, if any."""
+    for p in polys:
+        if nvars is None:
+            nvars = p.nvars
+        elif p.nvars != nvars:
+            raise ValueError("mixing SymPolys with different variable counts")
+    return nvars, WIDTH * nvars
 
 
 def sympoly_div(a, b):

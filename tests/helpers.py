@@ -53,21 +53,25 @@ def brute_partitions(n, m):
     return out
 
 
-def psd_oracle(F, k):
-    """k-th principal subresultant coefficient of (F, F') from an explicitly
-    assembled coefficient matrix and the cofactor-expansion determinant."""
-    n = F.degree
-    p, q = n, n - 1
-    Q = F.derivative()
+def principal_oracle(P, Q, k, p, q):
+    """Principal coefficient of S_k(P, Q) at formal degrees p > q, from an
+    explicitly assembled square coefficient matrix and the
+    cofactor-expansion determinant; Q's x^q coefficient to the power p - q
+    for k == q."""
     if k == q:
-        return Q.coeff(q)
+        return Q.coeff(q) ** (p - q)
     top = p + q - k - 1
     rows = []
     for shift in range(q - k - 1, -1, -1):
-        rows.append([F.coeff(top - t - shift) for t in range(p + q - 2 * k)])
+        rows.append([P.coeff(top - t - shift) for t in range(p + q - 2 * k)])
     for shift in range(p - k - 1, -1, -1):
         rows.append([Q.coeff(top - t - shift) for t in range(p + q - 2 * k)])
     return naive_det(rows)
+
+
+def psd_oracle(F, k):
+    """k-th principal subresultant coefficient of (F, F')."""
+    return principal_oracle(F, F.derivative(), k, F.degree, F.degree - 1)
 
 
 def random_sympoly(rng, nvars, max_terms=4, max_exp=3, coeff_bound=9):

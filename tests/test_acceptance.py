@@ -4,6 +4,8 @@ its runtime and asserting the stated budget and exactness requirements.
 Run with: pytest tests/test_acceptance.py -v -s
 """
 
+import contextlib
+import hashlib
 import io
 import json
 import random
@@ -51,6 +53,10 @@ TABLE1_N8 = {
     (2, 2, 1, 1, 1, 1): (1, 1, 15, 33),
     (3, 1, 1, 1, 1, 1): (1, 2, 15, 33),
 }
+
+# sha256 over "<exit code>\n<stdout>" of `dmu --symbolic` then `yhz`, both
+# --format json, for every partition mu of n = 1..6 in partitions(n, m) order
+SYMBOLIC_STDOUT_SHA256 = "561c1f59d840577b82742a9f6a4eeed609048d7fe809a1f91b8cdb66061a3e13"
 
 ROUNDTRIP_TRIALS = 500
 ROUNDTRIP_SEED = 20240811
@@ -223,3 +229,20 @@ def test_criterion_9_measured_comparison_n7():
         assert row["match"] == "true", row
         assert row["num_new"] <= row["num_yhz"] and row["d_new"] < row["d_yhz"], row
     _report("9 measured comparison n=7", time.perf_counter() - start, 120.0)
+
+
+def test_symbolic_stdout_is_pinned():
+    # byte-identity of SymPoly printing and of both symbolic kernels
+    start = time.perf_counter()
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for m in range(1, n + 1):
+            for mu in partitions(n, m):
+                for extra in (["dmu", "--symbolic"], ["yhz"]):
+                    argv = extra[:1] + ["--n", str(n), "--mu", ",".join(map(str, mu)), "--format", "json"] + extra[1:]
+                    out = io.StringIO()
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        code = main(argv, out=out)
+                    digest.update(f"{code}\n{out.getvalue()}".encode())
+    assert digest.hexdigest() == SYMBOLIC_STDOUT_SHA256
+    _report("symbolic stdout pin n<=6", time.perf_counter() - start, 30.0)

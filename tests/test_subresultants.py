@@ -5,6 +5,7 @@ import pytest
 from multdisc.errors import DegreeOutOfRange, ZeroPolynomial
 from multdisc.oracle import RootSpec, poly_from_roots
 from multdisc.subresultants import (
+    principal_coefficient,
     pseudo_rem,
     resultant,
     subresultant_chain,
@@ -12,7 +13,7 @@ from multdisc.subresultants import (
 )
 from multdisc.unipoly import Poly, generic_poly
 
-from helpers import psd_oracle
+from helpers import principal_oracle, psd_oracle, random_poly
 
 
 def test_pseudo_rem():
@@ -135,3 +136,55 @@ def test_resultant_and_psd_oracle_consistency():
         for k in range(n):
             assert chain[k].coeff(k) == psd_oracle(F, k)
         assert resultant(F, F.derivative()) == psd_oracle(F, 0)
+
+
+def _principal_cases():
+    """(P, Q, p, q): int and symbolic, actual and padded formal degrees."""
+    rng = random.Random(31)
+    for _ in range(20):
+        P = random_poly(rng, max_deg=5)
+        if P.degree < 1:
+            continue
+        Q = Poly([rng.choice([1, -2, 3])] + [rng.randint(-6, 6) for _ in range(rng.randint(0, P.degree - 1))])
+        yield P, Q, None, None
+        yield P, Q, P.degree + 1, Q.degree + rng.randint(0, 1)
+    # zero leading coefficients: actual degrees below the formal ones
+    yield Poly([1, -2, 3]), Poly([2, -2]), 3, 2
+    yield Poly([0, 1, -2, 3]), Poly([0, 2, -2]), 3, 2
+    yield Poly([5, 0, 1, 4]), Poly([0, 0, 7]), 3, 2
+    for n in (3, 4):
+        F = generic_poly(n)
+        yield F, F.derivative(), None, None
+        yield F, F.derivative(), n + 1, n
+    F = generic_poly(3)
+    G = Poly([F.coeff(1), F.coeff(0)])  # a symbolic Q of actual degree 1
+    yield F, G, 3, 2
+
+
+def test_principal_coefficient_is_the_principal_subresultant():
+    for P, Q, p, q in _principal_cases():
+        fp = P.degree if p is None else p
+        fq = Q.degree if q is None else q
+        for k in range(fq + 1):
+            got = principal_coefficient(P, Q, k, p=p, q=q)
+            assert got == subresultant_det(P, Q, k, p=p, q=q).coeff(k), (P, Q, k, p, q)
+            assert got == principal_oracle(P, Q, k, fp, fq), (P, Q, k, p, q)
+
+
+@pytest.mark.parametrize(
+    "P, Q, k, p, q, error",
+    [
+        (Poly([1, 2, 3, 4]), Poly([3, 4, 2]), 3, None, None, DegreeOutOfRange),  # k > q
+        (Poly([1, 2, 3, 4]), Poly([3, 4, 2]), -1, None, None, DegreeOutOfRange),
+        (Poly([1, 2, 3, 4]), Poly([3, 4, 2]), 0, 2, 1, DegreeOutOfRange),  # formal below actual
+        (Poly([1, 2, 3]), Poly([1, 2, 3]), 0, None, None, ValueError),  # p == q
+        (Poly([1, 2, 3]), Poly(), 0, 2, -1, ValueError),  # q < 0
+        (Poly(), Poly([1]), 0, None, 0, ZeroPolynomial),  # no formal degree for zero P
+        (Poly([1, 2]), Poly(), 0, 1, None, ZeroPolynomial),
+    ],
+)
+def test_principal_coefficient_guards_match_subresultant_det(P, Q, k, p, q, error):
+    with pytest.raises(error):
+        subresultant_det(P, Q, k, p=p, q=q)
+    with pytest.raises(error):
+        principal_coefficient(P, Q, k, p=p, q=q)

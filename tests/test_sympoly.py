@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from multdisc.errors import NonExactDivision
 from multdisc.scalars import exact_div
-from multdisc.sympoly import FIELD_MAX, WIDTH, SymPoly, _unpack
+from multdisc.sympoly import FIELD_MAX, WIDTH, SymPoly, _unpack, sum_of_products
 
 from helpers import random_sympoly
 
@@ -181,3 +181,43 @@ def test_division_inverts_multiplication(seed):
     b = random_sympoly(rng, NV)
     if b:
         assert exact_div(a * b, b) == a
+
+
+def _value(z, point):
+    return z.evaluate(point) if isinstance(z, SymPoly) else z
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_sum_of_products_matches_evaluation(seed, with_ints):
+    rng = random.Random(seed)
+
+    def operand():
+        if with_ints and rng.random() < 0.3:
+            return rng.randint(-9, 9)
+        return random_sympoly(rng, NV)
+
+    pairs = [(operand(), operand()) for _ in range(rng.randint(1, 6))]
+    total = sum_of_products(pairs)
+    assert isinstance(total, SymPoly) == any(isinstance(z, SymPoly) for pair in pairs for z in pair)
+    for _ in range(3):
+        point = [rng.randint(-6, 6) for _ in range(NV)]
+        want = sum(_value(x, point) * _value(y, point) for x, y in pairs)
+        assert _value(total, point) == want
+
+
+def test_sum_of_products_edge_cases():
+    assert sum_of_products([(2, 3), (4, -1)]) == 2
+    assert type(sum_of_products([(2, 3), (4, -1)])) is int
+    assert sum_of_products([]) == 0 and type(sum_of_products([])) is int
+    for pairs in ([(a0, a1), (-a1, a0)], [(0, a0)], [(a0, 2), (-2, a0), (3, 1), (-1, 3)]):
+        zero = sum_of_products(pairs)
+        assert isinstance(zero, SymPoly) and zero.terms == {} and zero.nvars == NV
+    assert sum_of_products([(a0, a1), (3, 2), (a0, -1)]) == a0 * a1 - a0 + 6
+    with pytest.raises(ValueError):
+        sum_of_products([(a0**FIELD_MAX, a1)])
+    with pytest.raises(ValueError):
+        sum_of_products([(a1, 2), (a0**FIELD_MAX, a1)])
+    with pytest.raises(ValueError):
+        sum_of_products([(a0, SymPoly.variable(3, 0))])
+    with pytest.raises(ValueError):
+        sum_of_products([(a0, a1), (2, SymPoly.variable(3, 0))])
