@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage/parse errors, 2 mathematical anomalies
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -324,7 +325,10 @@ def cmd_verify(args, out):
     return EXIT_OK if result.ok else EXIT_ANOMALY
 
 
+@functools.cache
 def build_parser():
+    # built once per process: main() only reads it, and a build costs more
+    # than a small symbolic command
     parser = argparse.ArgumentParser(
         prog="multdisc",
         description="Exact multiplicity-structure discriminants for univariate polynomials.",
@@ -386,6 +390,8 @@ def main(argv=None, out=None):
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
+        if getattr(args, "truncate_digits", 0) < 0:
+            raise ParseError(f"--truncate-digits must be at least 0, got {args.truncate_digits}")
         return COMMANDS[args.command](args, out)
     except (AmbiguousClassification, ChainDegenerate) as exc:
         print(f"anomaly: {exc}", file=sys.stderr)

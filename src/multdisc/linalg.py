@@ -6,9 +6,20 @@ are banded and mostly zero, a division-free minor expansion memoised on
 column subsets is selected instead, because Bareiss intermediate swell on
 multivariate entries costs more than structured expansion.  The
 expansion accumulates each minor once: one sympoly.sum_of_products over
-its signed (entry, smaller minor) pairs.  Permanents use Ryser's
-inclusion-exclusion with a Gray-code walk and are capped, since the
-permanent only ever backs small oracle computations.
+its signed (entry, smaller minor) pairs.
+
+Its order follows the sparsity (W. M. Gentleman and S. C. Johnson,
+"Analysis of algorithms, a case study: determinants of matrices with
+polynomial entries", ACM TOMS 2(3), 1976).  det expands the rows, or the
+columns when a column is sparser than every row (det A = det A^T), and
+takes the lines sparsest first by (nonzero entries, SymPoly terms),
+applying the sign of that permutation.  dets_with_last_row evaluates
+several determinants that differ in one line only: the varying line is
+expanded on top, so every minor below it comes from one shared table.
+subresultant_det reads its k + 1 coefficients that way.
+
+Permanents use Ryser's inclusion-exclusion with a Gray-code walk and are
+capped, since the permanent only ever backs small oracle computations.
 """
 
 from .errors import (
@@ -83,6 +94,22 @@ def det(m):
     return _det_bareiss(m.rows)
 
 
+def dets_with_last_row(rows, lasts):
+    """det of the square matrix rows + [last], for each line in lasts.
+
+    On symbolic entries all of them read one expansion table on the
+    shared rows, so together they cost about one determinant; integer
+    entries keep Bareiss, one matrix per last row.
+    """
+    rows, lasts = list(rows), list(lasts)
+    n = len(rows) + 1
+    if n <= EXPANSION_LIMIT and any(isinstance(e, SymPoly) for line in rows + lasts for e in line):
+        values = _expand(rows, lasts)
+        # the last row moves to the top across the n - 1 shared rows
+        return values if n % 2 else [-v for v in values]
+    return [det(Matrix(rows + [last])) for last in lasts]
+
+
 def _det_bareiss(rows):
     n = len(rows)
     a = [list(r) for r in rows]
@@ -109,24 +136,43 @@ def _det_bareiss(rows):
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 
 
-def _det_expansion(rows):
-    """Minor expansion along rows, memoised on the remaining-column subset.
+def _weight(line):
+    """(nonzero entries, SymPoly terms) of a line; an int counts as one term."""
+    nonzero = [e for e in line if e]
+    return len(nonzero), sum(len(e.terms) if isinstance(e, SymPoly) else 1 for e in nonzero)
 
-    The submatrix is determined by its column mask alone (always the last
-    popcount(mask) rows), so at most 2^n states exist and zero entries
-    skip whole branches; on the banded matrices this module sees, far
-    fewer states are ever touched.  Each state sums its signed
+
+def _det_expansion(rows):
+    """Minor expansion along the sparsest lines first.
+
+    det A = det A^T, so the rows are swapped for the columns when a column
+    is sparser than every row; the sparsest line then becomes the top row
+    and _expand orders the rest.
+    """
+    rows = min(list(rows), list(zip(*rows)), key=lambda lines: min(map(_weight, lines)))
+    top = min(range(len(rows)), key=lambda i: _weight(rows[i]))
+    (value,) = _expand(rows[:top] + rows[top + 1:], [rows[top]])
+    return -value if top % 2 else value
+
+
+def _expand(rows, tops):
+    """det of [top] + rows for each top: n - 1 shared rows of length n.
+
+    The rows are sorted sparsest first by _weight, and the sign of that
+    permutation is applied at the end.  A minor of the shared rows is
+    determined by its column mask alone (always the last popcount(mask)
+    rows), so at most 2^n states exist, zero entries skip whole branches,
+    and every top row reads the same table.  Each state sums its signed
     (entry, minor) products with one sum_of_products.
     """
-    n = len(rows)
+    order = sorted(range(len(rows)), key=lambda i: _weight(rows[i]))
+    rows = [rows[i] for i in order]
+    odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2
+    depth = len(rows)
     memo = {0: 1}
 
-    def rec(mask):
-        try:
-            return memo[mask]
-        except KeyError:
-            pass
-        row = rows[n - mask.bit_count()]
+    def along(row, mask):
+        # signed expansion of row over the columns in mask
         pairs = []
         negate = False
         m = mask
@@ -134,13 +180,20 @@ def _det_expansion(rows):
             low = m & -m
             e = row[low.bit_length() - 1]
             if e:
-                pairs.append((-e if negate else e, rec(mask ^ low)))
+                pairs.append((-e if negate else e, minor(mask ^ low)))
             negate = not negate
             m ^= low
-        total = memo[mask] = sum_of_products(pairs)
-        return total
+        return sum_of_products(pairs)
 
-    return rec((1 << n) - 1)
+    def minor(mask):
+        value = memo.get(mask)
+        if value is None:
+            value = memo[mask] = along(rows[depth - mask.bit_count()], mask)
+        return value
+
+    full = (1 << (depth + 1)) - 1
+    values = [along(top, full) for top in tops]
+    return [-v for v in values] if odd else values
 
 
 def permanent(m, cap=PERMANENT_CAP):

@@ -18,13 +18,17 @@ Two routes compute the same chain:
   pseudo-divisions and exact scalar divisions only.  Fast; the production
   path for numeric polynomials.
 * subresultant_det: the determinant definition, one small determinant per
-  coefficient.  Works over any ring, and accepts *formal* degrees larger
-  than the actual ones (virtual leading zeros).  Formal degrees matter
-  when specialising a chain computed over symbolic coefficients at a
-  point where leading coefficients vanish: the remainder sequence would
-  see the collapsed degrees and compute a different object, while the
-  padded determinants commute with specialisation.  This route is the
-  symbolic path and the cross-check oracle for the other one.
+  coefficient.  The k + 1 matrices share all columns but one, so on
+  symbolic input the coefficients read one shared expansion table
+  (linalg.dets_with_last_row) and cost about one determinant; integer
+  input takes one Bareiss determinant each.  Works over any ring, and
+  accepts *formal* degrees larger than the actual ones (virtual leading
+  zeros).  Formal degrees matter when specialising a chain computed over
+  symbolic coefficients at a point where leading coefficients vanish:
+  the remainder sequence would see the collapsed degrees and compute a
+  different object, while the padded determinants commute with
+  specialisation.  This route is the symbolic path and the cross-check
+  oracle for the other one.
 
 principal_coefficient gives the x^k coefficient of subresultant_det's
 S_k alone, with the same arguments and checks: one determinant, of the
@@ -33,7 +37,7 @@ condition reads only principal coefficients outside its chain steps.
 """
 
 from .errors import DegreeOutOfRange, ZeroPolynomial
-from .linalg import Matrix, det
+from .linalg import Matrix, det, dets_with_last_row
 from .unipoly import Poly
 
 
@@ -137,13 +141,9 @@ def subresultant_det(P, Q, k, p=None, q=None):
         return Q.scale(c ** (p - q - 1)) if p - q - 1 else Q
     nrows = p + q - 2 * k
     top_degree = p + q - k - 1
-    rows = _sylvester_rows(P, Q, k, p, q, top_degree + 1)
-    coeffs = []
-    for j in range(k, -1, -1):
-        picked = list(range(nrows - 1)) + [top_degree - j]
-        sub = Matrix([[row[t] for t in picked] for row in rows])
-        coeffs.append(det(sub))
-    return Poly(coeffs)
+    # M_j^T is the first nrows - 1 columns plus the degree-j column as rows
+    cols = list(zip(*_sylvester_rows(P, Q, k, p, q, top_degree + 1)))
+    return Poly(dets_with_last_row(cols[: nrows - 1], [cols[top_degree - j] for j in range(k, -1, -1)]))
 
 
 def principal_coefficient(P, Q, k, p=None, q=None):

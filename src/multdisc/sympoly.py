@@ -35,7 +35,10 @@ discriminant's wedge DP) call it with one list per sum.
 
 The public form stays the exponent tuple: the constructor, leading_term
 and repr take or give tuples, and evaluate and degree_in unpack.  str
-reads each exponent field with a shift and a mask.
+splits each key into a high half (a_0 .. a_(h-1), h = nvars // 2) and a
+low half of its exponent fields, and builds each distinct half's factor
+text once per call: the terms of one polynomial share few halves, so
+most terms join two cached strings.
 """
 
 from math import prod
@@ -68,6 +71,13 @@ def _unpack(nvars, key):
 def _fields(nvars, key):
     """(shift, exponent) of every nonzero exponent field of a packed key."""
     return [(s, k) for s in range(0, WIDTH * nvars, WIDTH) if (k := (key >> s) & FIELD_MAX)]
+
+
+def _factor_text(half, names):
+    """Factor text such as a0^2*a3 for the nonzero exponent fields of half."""
+    return "*".join(
+        name if k == 1 else f"{name}^{k}" for shift, name in names if (k := (half >> shift) & FIELD_MAX)
+    )
 
 
 def _divides(fields, key):
@@ -212,25 +222,35 @@ class SymPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        names = [(WIDTH * (self.nvars - 1 - i), f"a{i}") for i in range(self.nvars)]
-        parts = []
+        # a key's exponent fields split into a high half a_0..a_(h-1) and a
+        # low half a_h..a_n; each half's factor text is built once per call
+        nvars = self.nvars
+        h = nvars // 2
+        low_bits = WIDTH * (nvars - h)
+        high_mask = (1 << (WIDTH * h)) - 1
+        low_mask = (1 << low_bits) - 1
+        high_names = [(WIDTH * (h - 1 - i), f"a{i}") for i in range(h)]
+        low_names = [(WIDTH * (nvars - 1 - i), f"a{i}") for i in range(h, nvars)]
+        high_texts, low_texts = {}, {}
+        out = []
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
-            factors = []
-            for shift, name in names:
-                k = (e >> shift) & FIELD_MAX
-                if k:
-                    factors.append(name if k == 1 else f"{name}^{k}")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(c))] + factors)
-            parts.append(("- " if c < 0 else "+ ") + body)
-        head = parts[0]
-        head = "-" + head[2:] if head.startswith("- ") else head[2:]
-        return " ".join([head] + parts[1:])
+            high = (e >> low_bits) & high_mask
+            low = e & low_mask
+            a = high_texts.get(high)
+            if a is None:
+                a = high_texts[high] = _factor_text(high, high_names)
+            b = low_texts.get(low)
+            if b is None:
+                b = low_texts[low] = _factor_text(low, low_names)
+            body = f"{a}*{b}" if a and b else a or b
+            if c != 1 and c != -1:
+                body = f"{abs(c)}*{body}" if body else str(abs(c))
+            elif not body:
+                body = "1"
+            out.append(" - " if c < 0 else " + ")
+            out.append(body)
+        return ("-" if out[0] == " - " else "") + "".join(out[1:])
 
     def __repr__(self):
         terms = {_unpack(self.nvars, e): c for e, c in self.terms.items()}

@@ -69,6 +69,24 @@ def principal_oracle(P, Q, k, p, q):
     return naive_det(rows)
 
 
+def subresultant_oracle(P, Q, k, p, q):
+    """Coefficients x^k .. x^0 of S_k(P, Q) at formal degrees p > q: the
+    cofactor determinant of each (p+q-2k)-square submatrix, the first
+    p+q-2k-1 columns of S_k's explicitly assembled matrix plus the
+    degree-j column."""
+    top = p + q - k - 1
+    rows = []
+    for shift in range(q - k - 1, -1, -1):
+        rows.append([P.coeff(top - t - shift) for t in range(top + 1)])
+    for shift in range(p - k - 1, -1, -1):
+        rows.append([Q.coeff(top - t - shift) for t in range(top + 1)])
+    size = p + q - 2 * k
+    return [
+        naive_det([row[: size - 1] + [row[top - j]] for row in rows])
+        for j in range(k, -1, -1)
+    ]
+
+
 def psd_oracle(F, k):
     """k-th principal subresultant coefficient of (F, F')."""
     return principal_oracle(F, F.derivative(), k, F.degree, F.degree - 1)
@@ -97,3 +115,21 @@ def translate(F, t):
     for c in F.coeffs[1:]:
         acc = acc * Poly([1, t]) + Poly([c])
     return acc
+
+
+def naive_str(nvars, terms):
+    """Reference text of a SymPoly given as {exponent tuple: coefficient}:
+    terms in descending graded-lex order, a_0 the most significant."""
+    terms = {e: c for e, c in terms.items() if c}
+    if not terms:
+        return "0"
+    out = ""
+    for e in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+        c = terms[e]
+        factors = [f"a{i}" if k == 1 else f"a{i}^{k}" for i, k in enumerate(e) if k]
+        if abs(c) != 1 or not factors:
+            factors = [str(abs(c))] + factors
+        sign = "-" if c < 0 else "+"
+        body = "*".join(factors)
+        out = (f"-{body}" if c < 0 else body) if not out else f"{out} {sign} {body}"
+    return out

@@ -4,7 +4,7 @@ import sys
 from decimal import Decimal
 
 import multdisc.discriminant as disc
-from multdisc.cli import EXIT_ANOMALY, EXIT_OK, EXIT_USAGE, main
+from multdisc.cli import EXIT_ANOMALY, EXIT_OK, EXIT_USAGE, build_parser, main
 from multdisc.oracle import RootSpec, poly_from_roots
 from multdisc.scalars import format_scalar
 
@@ -225,3 +225,33 @@ def test_ambiguity_maps_to_anomaly_exit(monkeypatch):
     code, _ = run(["classify", "--coeffs", "1,-1,-3,5,-2"])
     assert code == EXIT_ANOMALY
 
+
+
+def test_negative_truncate_digits_rejected():
+    for argv in (
+        ["dmu", "--n", "2", "--mu", "1,1", "--symbolic"],
+        ["classify", "--coeffs", "1,-1,-3,5,-2"],
+        ["yhz", "--n", "4", "--mu", "3,1"],
+    ):
+        code, text = run(argv + ["--truncate-digits", "-3"])
+        assert code == EXIT_USAGE
+        assert text == ""
+    code, _ = run(["dmu", "--n", "2", "--mu", "1,1", "--symbolic", "--truncate-digits", "0"])
+    assert code == EXIT_OK
+
+
+def test_one_parser_serves_every_call():
+    calls = [
+        ["dmu", "--n", "3", "--mu", "2,1", "--symbolic", "--bogus"],
+        ["classify", "--coeffs", "1,-1,-3,5,-2"],
+        ["dmu", "--n", "3", "--mu", "2,1", "--symbolic", "--format", "json"],
+        ["yhz", "--n", "4", "--mu", "3,1"],
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert fresh[0][0] == EXIT_USAGE and all(code == EXIT_OK for code, _ in fresh[1:])
+    parser = build_parser()
+    assert [run(argv) for argv in calls] == fresh
+    assert build_parser() is parser

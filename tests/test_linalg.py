@@ -15,6 +15,7 @@ from multdisc.linalg import (
     _det_bareiss,
     _det_expansion,
     det,
+    dets_with_last_row,
     dp,
     hadamard,
     permanent,
@@ -178,3 +179,58 @@ def test_det_transpose_invariant(seed):
     m = rand_matrix(rng, n)
     t = Matrix(list(zip(*m.rows)))
     assert det(m) == det(t)
+
+
+def _sparse_symbolic_rows(rng, n):
+    """An n x n mostly-zero SymPoly matrix, sometimes with a zero row or column."""
+    rows = [
+        [
+            random_sympoly(rng, 3, max_terms=2, max_exp=2) if rng.random() < 0.45 else SymPoly.zero(3)
+            for _ in range(n)
+        ]
+        for _ in range(n)
+    ]
+    if n and rng.random() < 0.2:
+        rows[rng.randrange(n)] = [SymPoly.zero(3)] * n
+    if n and rng.random() < 0.2:
+        c = rng.randrange(n)
+        for row in rows:
+            row[c] = SymPoly.zero(3)
+    return rows
+
+
+def _parity(perm):
+    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_symbolic_det_matches_cofactor_oracle(seed):
+    rng = random.Random(seed)
+    rows = _sparse_symbolic_rows(rng, rng.randint(0, 7))
+    assert det(Matrix(rows)) == naive_det(rows)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_symbolic_det_transposed_and_row_permuted(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    m = Matrix(_sparse_symbolic_rows(rng, n))
+    value = det(m)
+    assert det(Matrix(list(zip(*m.rows)))) == value
+    tau = list(range(n))
+    rng.shuffle(tau)
+    assert det(row_permute(tau, m)) == (-value if _parity(tau) else value)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_dets_with_last_row_match_cofactor_oracle(seed, symbolic):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    if symbolic:
+        lines = _sparse_symbolic_rows(rng, n + 2)
+    else:
+        lines = [[rng.randint(-3, 3) for _ in range(n + 2)] for _ in range(n + 2)]
+    lines = [line[:n] for line in lines]
+    rows, lasts = lines[: n - 1], lines[n - 1:]
+    got = dets_with_last_row(rows, lasts)
+    assert got == [naive_det(rows + [last]) for last in lasts]

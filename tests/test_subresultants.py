@@ -13,7 +13,7 @@ from multdisc.subresultants import (
 )
 from multdisc.unipoly import Poly, generic_poly
 
-from helpers import principal_oracle, psd_oracle, random_poly
+from helpers import principal_oracle, psd_oracle, random_poly, random_sympoly, subresultant_oracle
 
 
 def test_pseudo_rem():
@@ -188,3 +188,28 @@ def test_principal_coefficient_guards_match_subresultant_det(P, Q, k, p, q, erro
         subresultant_det(P, Q, k, p=p, q=q)
     with pytest.raises(error):
         principal_coefficient(P, Q, k, p=p, q=q)
+
+
+def _subresultant_cases():
+    rng = random.Random(29)
+    for n in (3, 4):
+        F = generic_poly(n)
+        yield F, F.derivative(), n, n - 1
+    F = generic_poly(3)
+    yield F, F.derivative(), 4, 3  # padded formal degrees
+    yield F, Poly([F.coeff(1), F.coeff(0)]), 4, 2
+    for _ in range(8):
+        P = Poly([random_sympoly(rng, 3, max_terms=2, max_exp=2) for _ in range(rng.randint(1, 4))])
+        Q = Poly([random_sympoly(rng, 3, max_terms=2, max_exp=2) for _ in range(rng.randint(1, 3))])
+        if P and Q:
+            q = Q.degree + rng.randint(0, 1)
+            yield P, Q, max(P.degree, q + 1) + rng.randint(0, 1), q
+    P, Q = random_poly(rng, 4), random_poly(rng, 3)
+    yield P, Q, max(P.degree, Q.degree + 1) + 1, Q.degree + 1
+
+
+def test_subresultant_det_matches_cofactor_dets():
+    for P, Q, p, q in _subresultant_cases():
+        for k in range(q + 1):
+            got = subresultant_det(P, Q, k, p=p, q=q)
+            assert [got.coeff(j) for j in range(k, -1, -1)] == subresultant_oracle(P, Q, k, p, q), (P, Q, k, p, q)

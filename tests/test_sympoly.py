@@ -2,14 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multdisc.errors import NonExactDivision
 from multdisc.scalars import exact_div
 from multdisc.sympoly import FIELD_MAX, WIDTH, SymPoly, _unpack, sum_of_products
 
-from helpers import random_sympoly
+from helpers import naive_str, random_sympoly
 
 NV = 4
 
@@ -154,6 +154,25 @@ def test_str_graded_lex():
     assert str(SymPoly.zero(NV)) == "0"
     assert str(-a0) == "-a0"
     assert str(a1**3) == "a1^3"
+
+
+@st.composite
+def term_dicts(draw):
+    """nvars in 1..8 and a term dict with constants and coefficients +-1."""
+    nvars = draw(st.integers(1, 8))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeffs = st.one_of(st.sampled_from((1, -1)), st.integers(-12, 12))
+    return nvars, draw(st.dictionaries(exps, coeffs, max_size=8))
+
+
+@given(term_dicts())
+@example((1, {(0,): -1}))
+@example((3, {(0, 0, 0): 1, (1, 0, 2): -1, (0, 3, 0): 7}))
+@example((8, {(0,) * 7 + (1,): -1, (1,) + (0,) * 7: 1, (0,) * 8: -5}))
+def test_str_matches_naive_formatter(case):
+    nvars, terms = case
+    assert str(SymPoly(nvars, terms)) == naive_str(nvars, terms)
+    assert str(-SymPoly(nvars, terms)) == naive_str(nvars, {e: -c for e, c in terms.items()})
 
 
 def test_mixed_nvars_rejected():
