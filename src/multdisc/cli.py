@@ -25,7 +25,6 @@ from .errors import (
     LeadingZero,
     MultdiscError,
     ParseError,
-    UnknownSuite,
 )
 from .scalars import format_scalar, parse_scalar
 from .suites import SUITES, run_suite
@@ -396,10 +395,7 @@ def main(argv=None, out=None):
     except (AmbiguousClassification, ChainDegenerate) as exc:
         print(f"anomaly: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
-    except (ParseError, LeadingZero, CapExceeded, UnknownSuite, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MultdiscError, OSError) as exc:
+    except (MultdiscError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - internal failures

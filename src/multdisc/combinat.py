@@ -39,18 +39,20 @@ def partitions(n, m):
     if m < 1 or m > n:
         raise EmptyDomain(f"no partitions of {n} into {m} parts")
     out = []
-
-    def rec(remaining, parts_left, cap, prefix):
+    # depth-first with an explicit stack, so m is not bounded by the
+    # recursion limit: classify asks for partitions(n, n) at any degree
+    stack = [(n, m, n, ())]
+    while stack:
+        remaining, parts_left, cap, prefix = stack.pop()
         if parts_left == 1:
             if remaining <= cap:
                 out.append(prefix + (remaining,))
-            return
+            continue
         # first part large enough that the rest can still be filled
         lo = -(-remaining // parts_left)  # ceil
-        for first in range(min(cap, remaining - parts_left + 1), lo - 1, -1):
-            rec(remaining - first, parts_left - 1, first, prefix + (first,))
-
-    rec(n, m, n, ())
+        # pushed ascending, so the largest first part is expanded first
+        for first in range(lo, min(cap, remaining - parts_left + 1) + 1):
+            stack.append((remaining - first, parts_left - 1, first, prefix + (first,)))
     return out
 
 

@@ -35,17 +35,17 @@ coefficient ring:
   traces of the products prod_v M_v^(a_v); a second Newton recurrence over
   the multi-indices a <= c turns those traces into E(c).  The work is about
   prod_v (c_v + 1) products of an n x n matrix by a vector, polynomial in n.
-* _wedge_dp, for SymPoly F (the generic F, where lc is the variable a_0).
-  The determinant is multilinear in its columns, so E(c) sums det over
-  every way to take column j from some M_v, c_v columns from each.  A DP
-  over the counts still to place carries the wedge product of the columns
-  taken so far, with up to C(n, n/2) row bitmasks per state; each step
-  sums the products that reach a (state, bitmask) with one
-  sum_of_products.  Over SymPoly it is faster than the Newton kernel,
-  whose recurrence multiplies dense SymPolys: summed over every
-  partition, 0.05 vs 0.29 s at n = 6 and 1.0 vs 7.0 s at n = 7 (best of
-  three, 2 CPUs, Python 3.11.7, on a shared host whose runs vary by
-  about 30%).
+* linalg.wedge_dp, for SymPoly F (the generic F, where lc is the variable
+  a_0), with the M_v as its sources.  The determinant is multilinear in
+  its columns, so E(c) sums det over every way to take column j from some
+  M_v, c_v columns from each.  A DP over the counts still to place
+  carries the wedge product of the columns taken so far, with up to
+  C(n, n/2) row bitmasks per state, and drops the bitmasks that the
+  remaining columns cannot complete.  Over SymPoly it is faster than the
+  Newton kernel, whose recurrence multiplies dense SymPolys: summed over
+  every partition, 0.05 vs 0.29 s at n = 6 and 1.0 vs 7.0 s at n = 7
+  (best of three, 2 CPUs, Python 3.11.7, on a shared host whose runs
+  vary by about 30%).
 """
 
 from array import array
@@ -62,9 +62,10 @@ from .errors import (
     DegreeMismatch,
     ZeroPolynomial,
 )
+from .linalg import wedge_dp
 from .scalars import clear_denominators, exact_div
 from .subresultants import subresultant_chain
-from .sympoly import SymPoly, sum_of_products
+from .sympoly import SymPoly
 from .unipoly import Poly
 
 SYMBOLIC_CAP = 6
@@ -139,45 +140,6 @@ def _scaled_columns(F, values):
             mv.append(col)
         cols.append(mv)
     return g, cols
-
-
-def _wedge_dp(cols, c):
-    """E(c), by a DP over the counts c of columns still to take from each M_v.
-
-    Column j is taken from one M_v per step, and each DP state holds the
-    wedge product of the columns taken so far, summed over every choice
-    that reaches it, as {row bitmask: coefficient}.  det(A) = det(A^T), so
-    the columns are wedged like rows.  A step first lists the signed
-    (coefficient, entry) pairs that reach each (state, bitmask) and then
-    sums each list with one sum_of_products.
-    """
-    n = len(cols[0])
-    layer = {tuple(c): {0: 1}}
-    for j in range(n):
-        slot = [[(1 << i, i + 1, x, -x) for i, x in enumerate(col[j]) if x] for col in cols]
-        targets = {}
-        for state, wedge in layer.items():
-            for k, left in enumerate(state):
-                if not left:
-                    continue
-                out = targets.setdefault(state[:k] + (left - 1,) + state[k + 1 :], {})
-                for mask, coef in wedge.items():
-                    for bit, above, x, neg in slot[k]:
-                        if mask & bit:
-                            continue
-                        # e_S ^ e_i = (-1)^#{s in S: s > i} e_(S+i)
-                        term = (coef, neg if (mask >> above).bit_count() & 1 else x)
-                        new = mask | bit
-                        if new in out:
-                            out[new].append(term)
-                        else:
-                            out[new] = [term]
-        layer = {
-            state: {mask: v for mask, pairs in out.items() if (v := sum_of_products(pairs))}
-            for state, out in targets.items()
-        }
-    (wedge,) = layer.values()
-    return wedge.get((1 << n) - 1, 0)
 
 
 @lru_cache(maxsize=256)
@@ -265,7 +227,8 @@ def dmu(F, mu, *, symbolic_cap=SYMBOLIC_CAP):
         if n > symbolic_cap:
             raise CapExceeded(f"symbolic dmu capped at degree {symbolic_cap}")
         _, cols = _scaled_columns(F, values)
-        total = _wedge_dp(cols, [v * mu.count(v) for v in values])
+        wedge = wedge_dp(cols, [v * mu.count(v) for v in values])
+        total = wedge.get((1 << n) - 1, 0)
     else:
         ints, _ = clear_denominators(list(F.coeffs))
         F = Poly(ints)
@@ -310,13 +273,9 @@ def classify_report(F):
     n = F.degree
     report = psd_sequence(F)
     m = report.ndr
-    if m == 1:
-        return ClassifyReport(n, m, (n,), ())
-    if m == n:
-        return ClassifyReport(n, m, (1,) * n, ())
-    if m == n - 1:
-        return ClassifyReport(n, m, (2,) + (1,) * (n - 2), ())
     candidates = partitions(n, m)
+    if len(candidates) == 1:  # m in {1, n - 1, n}
+        return ClassifyReport(n, m, candidates[0], ())
     certificates = tuple((nu, dmu(F, nu).value) for nu in candidates)
     winners = [nu for nu, value in certificates if value]
     if len(winners) != 1:

@@ -1,22 +1,24 @@
 """Exact linear algebra over the integer, rational and symbolic rings.
 
-Determinants are computed fraction-free (Bareiss elimination with exact
-divisions and first-nonzero pivoting); for symbolic matrices, which here
-are banded and mostly zero, a division-free minor expansion memoised on
-column subsets is selected instead, because Bareiss intermediate swell on
-multivariate entries costs more than structured expansion.  The
-expansion accumulates each minor once: one sympoly.sum_of_products over
-its signed (entry, smaller minor) pairs.
+Integer and rational determinants are computed fraction-free (Bareiss
+elimination with exact divisions and first-nonzero pivoting).  Symbolic
+matrices, banded and mostly zero here, would swell under Bareiss, so all
+of them go to one division-free kernel, wedge_dp: a forward DP that takes
+one line per step from one of several sources (one source for det and
+dets_with_last_row, the multiplication matrices M_v for the
+discriminant's D_mu).  It drops every state whose unused columns the
+remaining lines cannot fill, judged by the union of the sources' nonzero
+patterns.
 
-Its order follows the sparsity (W. M. Gentleman and S. C. Johnson,
+The order follows the sparsity (W. M. Gentleman and S. C. Johnson,
 "Analysis of algorithms, a case study: determinants of matrices with
-polynomial entries", ACM TOMS 2(3), 1976).  det expands the rows, or the
-columns when a column is sparser than every row (det A = det A^T), and
-takes the lines sparsest first by (nonzero entries, SymPoly terms),
-applying the sign of that permutation.  dets_with_last_row evaluates
-several determinants that differ in one line only: the varying line is
-expanded on top, so every minor below it comes from one shared table.
-subresultant_det reads its k + 1 coefficients that way.
+polynomial entries", ACM TOMS 2(3), 1976).  Rows are taken densest first,
+and the sparsest line goes last: det holds out the sparsest row, or
+column when that is sparser (det A = det A^T), and dets_with_last_row
+the lines it varies.  Every state of the last layer must miss a column
+where a last line is nonzero, so a sparse last line prunes the most.  All
+last lines read that one layer, so subresultant_det gets its k + 1
+coefficients for about the cost of one determinant.
 
 Permanents use Ryser's inclusion-exclusion with a Gray-code walk and are
 capped, since the permanent only ever backs small oracle computations.
@@ -31,7 +33,6 @@ from .errors import (
 from .scalars import exact_div
 from .sympoly import SymPoly, sum_of_products
 
-EXPANSION_LIMIT = 20
 PERMANENT_CAP = 14
 
 
@@ -89,24 +90,21 @@ def det(m):
         raise NotSquare(f"determinant of a {m.nrows}x{m.ncols} matrix")
     if m.nrows == 0:
         return 1
-    if m.is_symbolic() and m.nrows <= EXPANSION_LIMIT:
-        return _det_expansion(m.rows)
+    if m.is_symbolic():
+        return _det_wedge(m.rows)
     return _det_bareiss(m.rows)
 
 
 def dets_with_last_row(rows, lasts):
     """det of the square matrix rows + [last], for each line in lasts.
 
-    On symbolic entries all of them read one expansion table on the
-    shared rows, so together they cost about one determinant; integer
-    entries keep Bareiss, one matrix per last row.
+    On symbolic entries all of them read one wedge_dp layer on the shared
+    rows, so together they cost about one determinant; integer entries
+    keep Bareiss, one matrix per last row.
     """
     rows, lasts = list(rows), list(lasts)
-    n = len(rows) + 1
-    if n <= EXPANSION_LIMIT and any(isinstance(e, SymPoly) for line in rows + lasts for e in line):
-        values = _expand(rows, lasts)
-        # the last row moves to the top across the n - 1 shared rows
-        return values if n % 2 else [-v for v in values]
+    if any(isinstance(e, SymPoly) for line in rows + lasts for e in line):
+        return _wedge_last(rows, lasts)
     return [det(Matrix(rows + [last])) for last in lasts]
 
 
@@ -142,69 +140,112 @@ def _weight(line):
     return len(nonzero), sum(len(e.terms) if isinstance(e, SymPoly) else 1 for e in nonzero)
 
 
-def _det_expansion(rows):
-    """Minor expansion along the sparsest lines first.
+def _det_wedge(rows):
+    """det by wedge_dp, with the sparsest line last.
 
     det A = det A^T, so the rows are swapped for the columns when a column
-    is sparser than every row; the sparsest line then becomes the top row
-    and _expand orders the rest.
+    is sparser than every row; moving the sparsest line from position t
+    to the bottom passes n - 1 - t lines.
     """
-    rows = min(list(rows), list(zip(*rows)), key=lambda lines: min(map(_weight, lines)))
-    top = min(range(len(rows)), key=lambda i: _weight(rows[i]))
-    (value,) = _expand(rows[:top] + rows[top + 1:], [rows[top]])
-    return -value if top % 2 else value
+    lines = min(list(rows), list(zip(*rows)), key=lambda ls: min(map(_weight, ls)))
+    t = min(range(len(lines)), key=lambda i: _weight(lines[i]))
+    (value,) = _wedge_last(lines[:t] + lines[t + 1:], [lines[t]])
+    return -value if (len(lines) - 1 - t) % 2 else value
 
 
-def _expand(rows, tops):
-    """det of [top] + rows for each top: n - 1 shared rows of length n.
+def _wedge_last(rows, lasts):
+    """det of rows + [last] for each last, from one wedge_dp layer.
 
-    The rows are sorted sparsest first by _weight, and the sign of that
-    permutation is applied at the end.  A minor of the shared rows is
-    determined by its column mask alone (always the last popcount(mask)
-    rows), so at most 2^n states exist, zero entries skip whole branches,
-    and every top row reads the same table.  Each state sums its signed
-    (entry, minor) products with one sum_of_products.
+    The n - 1 shared rows are taken densest first, and the sign of that
+    permutation is applied at the end.  The union pattern of the lasts
+    goes in as one more line, which wedge_dp reads for pruning but never
+    takes, so the layer keeps only masks that miss one column where some
+    last is nonzero.
     """
-    order = sorted(range(len(rows)), key=lambda i: _weight(rows[i]))
-    rows = [rows[i] for i in order]
+    n = len(rows) + 1
+    order = sorted(range(n - 1), key=lambda i: _weight(rows[i]), reverse=True)
     odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2
-    depth = len(rows)
-    memo = {0: 1}
-
-    def along(row, mask):
-        # signed expansion of row over the columns in mask
+    union = [any(last[i] for last in lasts) for i in range(n)]
+    layer = wedge_dp([[rows[i] for i in order] + [union]], [n - 1])
+    full = (1 << n) - 1
+    values = []
+    for last in lasts:
         pairs = []
-        negate = False
-        m = mask
-        while m:
-            low = m & -m
-            e = row[low.bit_length() - 1]
-            if e:
-                pairs.append((-e if negate else e, minor(mask ^ low)))
-            negate = not negate
-            m ^= low
-        return sum_of_products(pairs)
-
-    def minor(mask):
-        value = memo.get(mask)
-        if value is None:
-            value = memo[mask] = along(rows[depth - mask.bit_count()], mask)
-        return value
-
-    full = (1 << (depth + 1)) - 1
-    values = [along(top, full) for top in tops]
-    return [-v for v in values] if odd else values
+        for mask, coef in layer.items():
+            i = (full ^ mask).bit_length() - 1
+            # e_mask ^ e_i = (-1)^(n - 1 - i) e_full
+            if last[i]:
+                pairs.append((coef, -last[i] if (n - 1 - i + odd) % 2 else last[i]))
+        values.append(sum_of_products(pairs))
+    return values
 
 
-def permanent(m, cap=PERMANENT_CAP):
+def wedge_dp(sources, counts):
+    """Wedge products of lines taken one per step from several sources.
+
+    Each source is n lines of length n, and sources[k][j] is the line
+    that source k offers at step j.  Step j takes the line of one source,
+    counts[k] of the first sum(counts) steps take source k, and the
+    result sums the wedge product of the taken lines over every such
+    choice, as {column mask: coefficient}.  With one source taken whole,
+    the coefficient of the full mask is its determinant.  Lines after the
+    last step are never taken; they are only read for pruning.
+
+    A state is (counts left, column mask), and two layers of states live
+    at a time.  A step lists the signed (coefficient, entry) pairs that
+    reach each state and sums each list with one sum_of_products.  After
+    step j a mask survives only if lines j + 1, ... can fill its unused
+    columns one each, where line t may use every column at which some
+    source's line t is nonzero.  Those fillable sets are built backwards
+    from the empty set, before the first step.
+    """
+    n = len(sources[0])
+    full = (1 << n) - 1
+    # fillable[t]: the column sets that the last t lines can fill
+    fillable = [{0}]
+    for j in range(n - 1, 0, -1):
+        bits = [1 << i for i in range(n) if any(source[j][i] for source in sources)]
+        fillable.append({s | b for s in fillable[-1] for b in bits if not s & b})
+    layer = {tuple(counts): {0: 1}}
+    for j in range(sum(counts)):
+        slot = [[(1 << i, i + 1, x, -x) for i, x in enumerate(source[j]) if x] for source in sources]
+        # masks of j + 1 columns that survive step j; a mask that already
+        # holds bit has j columns, so it is never among them
+        keep = {full ^ s for s in fillable[n - 1 - j]}
+        targets = {}
+        for state, wedge in layer.items():
+            for k, left in enumerate(state):
+                if not left:
+                    continue
+                out = targets.setdefault(state[:k] + (left - 1,) + state[k + 1:], {})
+                for mask, coef in wedge.items():
+                    for bit, above, x, neg in slot[k]:
+                        new = mask | bit
+                        if new not in keep:
+                            continue
+                        # e_S ^ e_i = (-1)^#{s in S: s > i} e_(S+i)
+                        term = (coef, neg if (mask >> above).bit_count() & 1 else x)
+                        if new in out:
+                            out[new].append(term)
+                        else:
+                            out[new] = [term]
+        layer = {
+            state: {mask: v for mask, pairs in out.items() if (v := sum_of_products(pairs))}
+            for state, out in targets.items()
+        }
+    (wedge,) = layer.values()
+    return wedge
+
+
+def permanent(m):
     """Exact permanent via Ryser's formula with Gray-code row sums."""
     if not m.is_square():
         raise NotSquare(f"permanent of a {m.nrows}x{m.ncols} matrix")
     n = m.nrows
     if n == 0:
         return 1
-    if n > cap:
-        raise DimensionTooLarge(f"permanent of size {n} exceeds cap {cap}")
+    if n > PERMANENT_CAP:
+        raise DimensionTooLarge(f"permanent of size {n} exceeds cap {PERMANENT_CAP}")
     cols = list(zip(*m.rows))
     sums = [0] * n
     included = [False] * n

@@ -8,8 +8,8 @@ constant of the expanded tuple; the two sides are related by
 D_mu = lead^(n - mu_m) * Dbar_mu.
 
 dmu_by_stacks is the coefficient-side reference: the defining sum of one
-stack determinant per rearrangement, which both D_mu kernels in
-discriminant must reproduce.
+stack determinant per rearrangement, which both D_mu kernels must
+reproduce.
 
 Identity checkers for the two supporting facts (the det/per sum over row
 permutations, and the coefficient-stack determinant as a ratio of root
@@ -31,7 +31,7 @@ from .errors import (
     RootMismatch,
     ZeroLead,
 )
-from .linalg import PERMANENT_CAP, Matrix, det, dp, hadamard, permanent, row_permute
+from .linalg import Matrix, det, dp, hadamard, permanent, row_permute
 from .scalars import exact_div
 from .unipoly import Poly
 
@@ -78,7 +78,7 @@ def poly_from_roots(spec):
     return out
 
 
-def dbar_mu(F, alphas, mu, *, cap=PERMANENT_CAP):
+def dbar_mu(F, alphas, mu):
     """Root-side discriminant: per[F^(p_i)(alpha_j)/p_i!] / c.
 
     alphas must be the full root multiset of F (each root repeated by its
@@ -96,7 +96,7 @@ def dbar_mu(F, alphas, mu, *, cap=PERMANENT_CAP):
     for order in p:
         t = F.taylor_derivative(order)
         rows.append([t(a) for a in alphas])
-    per = permanent(Matrix(rows), cap=cap)
+    per = permanent(Matrix(rows))
     return exact_div(per, repetition_constant(p))
 
 
@@ -148,13 +148,13 @@ def check_dp_ratio(F, roots, G):
     return lhs == rhs
 
 
-def random_instance(seed, n, m, *, root_bound=9):
-    """Deterministic random root specification: m distinct integer roots,
-    multiplicities a uniformly chosen partition of n into m parts."""
+def random_instance(seed, n, m):
+    """Deterministic random root specification: m distinct integer roots
+    in [-9, 9], multiplicities a uniformly chosen partition of n into m parts."""
     if m < 1 or m > n:
         raise EmptyDomain(f"no root structure with {m} distinct roots for degree {n}")
     rng = random.Random(seed)
-    roots = tuple(rng.sample(range(-root_bound, root_bound + 1), m))
+    roots = tuple(rng.sample(range(-9, 10), m))
     mults = rng.choice(partitions(n, m))
     lead = rng.choice((-2, -1, 1, 1, 2, 3))
     return RootSpec(roots=roots, mults=mults, lead=lead)

@@ -19,7 +19,7 @@ Two routes compute the same chain:
   path for numeric polynomials.
 * subresultant_det: the determinant definition, one small determinant per
   coefficient.  The k + 1 matrices share all columns but one, so on
-  symbolic input the coefficients read one shared expansion table
+  symbolic input the coefficients read one shared wedge_dp layer
   (linalg.dets_with_last_row) and cost about one determinant; integer
   input takes one Bareiss determinant each.  Works over any ring, and
   accepts *formal* degrees larger than the actual ones (virtual leading
@@ -30,10 +30,7 @@ Two routes compute the same chain:
   specialisation.  This route is the symbolic path and the cross-check
   oracle for the other one.
 
-principal_coefficient gives the x^k coefficient of subresultant_det's
-S_k alone, with the same arguments and checks: one determinant, of the
-leading (p+q-2k)-square block, instead of k + 1.  The repeated-subresultant
-condition reads only principal coefficients outside its chain steps.
+resultant is det of the Sylvester matrix, S_0's full square matrix.
 """
 
 from .errors import DegreeOutOfRange, ZeroPolynomial
@@ -146,20 +143,7 @@ def subresultant_det(P, Q, k, p=None, q=None):
     return Poly(dets_with_last_row(cols[: nrows - 1], [cols[top_degree - j] for j in range(k, -1, -1)]))
 
 
-def principal_coefficient(P, Q, k, p=None, q=None):
-    """The x^k coefficient of S_k(P, Q), with subresultant_det's arguments.
-
-    For k < q it is the determinant of the leading (p+q-2k)-square block
-    of S_k's matrix, the only one of subresultant_det's k + 1
-    determinants it needs; for k = q it is Q's x^q coefficient to the
-    power p - q.
-    """
-    p, q = _formal_degrees(P, Q, k, p, q)
-    if k == q:
-        return Q.coeff(q) ** (p - q)
-    return det(Matrix(_sylvester_rows(P, Q, k, p, q, p + q - 2 * k)))
-
-
 def resultant(P, Q):
-    """res(P, Q) for deg P > deg Q, as the constant coefficient of S_0."""
-    return subresultant_det(P, Q, 0).coeff(0)
+    """res(P, Q) for deg P > deg Q: det of the Sylvester matrix, S_0's matrix."""
+    p, q = _formal_degrees(P, Q, 0, None, None)
+    return det(Matrix(_sylvester_rows(P, Q, 0, p, q, p + q)))

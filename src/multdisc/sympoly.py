@@ -30,8 +30,9 @@ straight into one term dict and drops zero coefficients once at the end,
 so a dot product builds no SymPoly per product and never copies a partial
 sum, as a chain of __mul__ and __add__ would.  The product-degree guard
 and the variable-count check run once per pair.  __mul__ is the one-pair
-case; the symbolic determinant kernels (linalg's minor expansion and the
-discriminant's wedge DP) call it with one list per sum.
+case.  The other callers are linalg's symbolic determinant kernel:
+wedge_dp sums once per state it reaches, and the last step of det and
+dets_with_last_row once per last line.
 
 The public form stays the exponent tuple: the constructor, leading_term
 and repr take or give tuples, and evaluate and degree_in unpack.  str

@@ -19,7 +19,7 @@ from math import comb, prod
 
 from .combinat import check_partition
 from .errors import ChainDegenerate, DegreeMismatch
-from .subresultants import principal_coefficient, subresultant_det
+from .subresultants import subresultant_det
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,9 @@ def yhz_condition(F, mu):
     for i in range(1, mu[0] - 1):
         g, fdeg = chain[i], formal[i]
         for j in range(s[i]):
-            equations.append(principal_coefficient(g, g.derivative(), j, p=fdeg, q=fdeg - 1))
+            equations.append(subresultant_det(g, g.derivative(), j, p=fdeg, q=fdeg - 1).coeff(j))
     bottom, fdeg = chain[mu[0] - 1], formal[mu[0] - 1]
-    inequation = principal_coefficient(bottom, bottom.derivative(), 0, p=fdeg, q=fdeg - 1)
+    inequation = subresultant_det(bottom, bottom.derivative(), 0, p=fdeg, q=fdeg - 1).coeff(0)
     if symbolic and not inequation:
         raise ChainDegenerate(f"inequation vanishes identically for mu={mu}")
     return YhzCondition(tuple(mu), tuple(chain), s, tuple(equations), inequation)

@@ -21,6 +21,10 @@ def test_partitions_examples():
     assert partitions(8, 3) == [(6, 1, 1), (5, 2, 1), (4, 3, 1), (4, 2, 2), (3, 3, 2)]
     assert partitions(4, 2) == [(3, 1), (2, 2)]
     assert partitions(5, 5) == [(1, 1, 1, 1, 1)]
+    # m is not bounded by the recursion limit
+    assert partitions(1500, 1500) == [(1,) * 1500]
+    assert partitions(1500, 1499) == [(2,) + (1,) * 1498]
+    assert partitions(1500, 1) == [(1500,)]
 
 
 def test_partitions_empty_domain():

@@ -20,6 +20,7 @@ from multdisc.errors import (
     ZeroPolynomial,
 )
 from multdisc.combinat import expand_partition, multiset_permutations, partitions
+from multdisc.linalg import wedge_dp
 from multdisc.oracle import RootSpec, dmu_by_stacks, poly_from_roots, random_instance
 from multdisc.scalars import clear_denominators
 from multdisc.subresultants import subresultant_det
@@ -138,10 +139,10 @@ def _cross_check_inputs(rng, n):
 
 
 def _both_kernels(F, nu):
-    """E(c) from the wedge DP and from the Newton kernel, on the same columns."""
+    """E(c) from linalg.wedge_dp and from the Newton kernel, on the same columns."""
     values = sorted(set(nu))
     g, cols = disc._scaled_columns(F, values)
-    wedge = disc._wedge_dp(cols, [v * nu.count(v) for v in values])
+    wedge = wedge_dp(cols, [v * nu.count(v) for v in values]).get((1 << F.degree) - 1, 0)
     return wedge, disc._newton_traces(g, cols, disc._power_sum_plan(nu))
 
 
@@ -340,6 +341,9 @@ def test_classify_trivial_ndr_branch():
     report = classify_report(F)
     assert report.multiplicity == (2, 1, 1, 1)
     assert report.certificates == ()
+    # a single candidate at a degree above the recursion limit
+    assert classify(Poly([1] + [0] * 1499 + [-1])) == (1,) * 1500
+    assert classify(Poly([1] + [0] * 1500)) == (1500,)
 
 
 def test_classify_report_certificates():

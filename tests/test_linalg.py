@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -13,13 +14,14 @@ from multdisc.errors import (
 from multdisc.linalg import (
     Matrix,
     _det_bareiss,
-    _det_expansion,
+    _det_wedge,
     det,
     dets_with_last_row,
     dp,
     hadamard,
     permanent,
     row_permute,
+    wedge_dp,
 )
 from multdisc.sympoly import SymPoly
 from multdisc.unipoly import Poly, generic_poly
@@ -46,7 +48,7 @@ def test_det_against_cofactor_oracle():
         m = rand_matrix(rng, n)
         expected = naive_det([list(r) for r in m.rows])
         assert _det_bareiss(m.rows) == expected
-        assert _det_expansion(m.rows) == expected
+        assert _det_wedge(m.rows) == expected
 
 
 def test_det_needs_pivoting():
@@ -67,7 +69,7 @@ def test_det_symbolic_both_methods():
     for _ in range(10):
         n = rng.randint(1, 3)
         m = Matrix([[random_sympoly(rng, 3, max_terms=2, max_exp=2) for _ in range(n)] for _ in range(n)])
-        assert _det_expansion(m.rows) == _det_bareiss(m.rows)
+        assert _det_wedge(m.rows) == _det_bareiss(m.rows)
 
 
 def test_det_symbolic_zero_pivot_swap():
@@ -76,7 +78,7 @@ def test_det_symbolic_zero_pivot_swap():
     y = SymPoly.variable(2, 1)
     m = Matrix([[z, x], [y, z]])
     assert _det_bareiss(m.rows) == -(x * y)
-    assert _det_expansion(m.rows) == -(x * y)
+    assert _det_wedge(m.rows) == -(x * y)
     # an identically zero column makes the determinant zero
     mz = Matrix([[z, x], [z, y]])
     assert _det_bareiss(mz.rows) == 0
@@ -88,7 +90,6 @@ def test_permanent_basics():
     assert permanent(Matrix([[1] * 3] * 3)) == 6
     with pytest.raises(DimensionTooLarge):
         permanent(Matrix.identity(15))
-    assert permanent(Matrix.identity(15), cap=15) == 1
     with pytest.raises(NotSquare):
         permanent(Matrix([[1, 2]]))
 
@@ -234,3 +235,46 @@ def test_dets_with_last_row_match_cofactor_oracle(seed, symbolic):
     rows, lasts = lines[: n - 1], lines[n - 1:]
     got = dets_with_last_row(rows, lasts)
     assert got == [naive_det(rows + [last]) for last in lasts]
+
+
+def _fillable(lines, sources, mask, n):
+    """Whether the lines can fill the columns outside mask, one each, at
+    columns where some source is nonzero."""
+    free = [c for c in range(n) if not mask >> c & 1]
+    return any(
+        all(any(source[t][c] for source in sources) for t, c in zip(lines, perm))
+        for perm in permutations(free)
+    )
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_wedge_dp_matches_sum_over_assignments(seed, symbolic):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    steps = max(1, rng.choice((n, n - 1, rng.randint(1, n))))
+    # each source has its own density, so the nonzero patterns differ
+    sources = []
+    for _ in range(rng.randint(1, 3)):
+        density = rng.uniform(0.2, 0.9)
+        sources.append([
+            [
+                (random_sympoly(rng, 3, max_terms=2, max_exp=2) if symbolic else rng.randint(-3, 3))
+                if rng.random() < density
+                else (SymPoly.zero(3) if symbolic else 0)
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ])
+    counts = [0] * len(sources)
+    for _ in range(steps):
+        counts[rng.randrange(len(sources))] += 1
+    expected = {}
+    taken_from = [k for k, c in enumerate(counts) for _ in range(c)]
+    for choice in set(permutations(taken_from)):
+        taken = [sources[k][j] for j, k in enumerate(choice)]
+        for cols in combinations(range(n), steps):
+            mask = sum(1 << c for c in cols)
+            if _fillable(range(steps, n), sources, mask, n):
+                minor = naive_det([[line[c] for c in cols] for line in taken])
+                expected[mask] = expected.get(mask, 0) + minor
+    assert wedge_dp(sources, counts) == {mask: v for mask, v in expected.items() if v}

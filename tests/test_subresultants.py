@@ -5,7 +5,6 @@ import pytest
 from multdisc.errors import DegreeOutOfRange, ZeroPolynomial
 from multdisc.oracle import RootSpec, poly_from_roots
 from multdisc.subresultants import (
-    principal_coefficient,
     pseudo_rem,
     resultant,
     subresultant_chain,
@@ -13,7 +12,7 @@ from multdisc.subresultants import (
 )
 from multdisc.unipoly import Poly, generic_poly
 
-from helpers import principal_oracle, psd_oracle, random_poly, random_sympoly, subresultant_oracle
+from helpers import psd_oracle, random_poly, random_sympoly, subresultant_oracle
 
 
 def test_pseudo_rem():
@@ -78,14 +77,24 @@ def test_det_route_formal_degrees_specialise():
         assert Poly(sym_at) == numk
 
 
+# (P, Q, k, p, q, error): bad index, formal degrees and zero inputs
+_BAD_ARGUMENTS = [
+    (Poly([1, 2, 3, 4]), Poly([3, 4, 2]), 5, None, None, DegreeOutOfRange),
+    (Poly([1, 2, 3, 4]), Poly([3, 4, 2]), 3, None, None, DegreeOutOfRange),  # k > q
+    (Poly([1, 2, 3, 4]), Poly([3, 4, 2]), -1, None, None, DegreeOutOfRange),
+    (Poly([1, 2, 3, 4]), Poly([3, 4, 2]), 0, 2, 1, DegreeOutOfRange),  # formal below actual
+    (Poly([1, 2, 3, 4]), Poly([1, 2, 3, 4]), 0, None, None, ValueError),  # p == q
+    (Poly([1, 2, 3]), Poly([1, 2, 3]), 0, None, None, ValueError),
+    (Poly([1, 2, 3]), Poly(), 0, 2, -1, ValueError),  # q < 0
+    (Poly(), Poly([1]), 0, None, 0, ZeroPolynomial),  # no formal degree for zero P
+    (Poly([1, 2]), Poly(), 0, 1, None, ZeroPolynomial),
+]
+
+
 def test_subresultant_det_guards():
-    P = Poly([1, 2, 3, 4])
-    with pytest.raises(DegreeOutOfRange):
-        subresultant_det(P, P.derivative(), 5)
-    with pytest.raises(DegreeOutOfRange):
-        subresultant_det(P, P.derivative(), 0, p=2, q=1)  # formal below actual
-    with pytest.raises(ValueError):
-        subresultant_det(P, P, 0)
+    for P, Q, k, p, q, error in _BAD_ARGUMENTS:
+        with pytest.raises(error):
+            subresultant_det(P, Q, k, p=p, q=q)
 
 
 def test_k_equals_q_convention():
@@ -138,8 +147,26 @@ def test_resultant_and_psd_oracle_consistency():
         assert resultant(F, F.derivative()) == psd_oracle(F, 0)
 
 
-def _principal_cases():
-    """(P, Q, p, q): int and symbolic, actual and padded formal degrees."""
+def _subresultant_cases():
+    """(P, Q, p, q): int and symbolic, actual (None) and padded formal degrees."""
+    rng = random.Random(29)
+    for n in (3, 4):
+        F = generic_poly(n)
+        yield F, F.derivative(), n, n - 1
+        yield F, F.derivative(), None, None
+        yield F, F.derivative(), n + 1, n
+    F = generic_poly(3)
+    yield F, F.derivative(), 4, 3  # padded formal degrees
+    yield F, Poly([F.coeff(1), F.coeff(0)]), 4, 2
+    yield F, Poly([F.coeff(1), F.coeff(0)]), 3, 2  # a symbolic Q of actual degree 1
+    for _ in range(8):
+        P = Poly([random_sympoly(rng, 3, max_terms=2, max_exp=2) for _ in range(rng.randint(1, 4))])
+        Q = Poly([random_sympoly(rng, 3, max_terms=2, max_exp=2) for _ in range(rng.randint(1, 3))])
+        if P and Q:
+            q = Q.degree + rng.randint(0, 1)
+            yield P, Q, max(P.degree, q + 1) + rng.randint(0, 1), q
+    P, Q = random_poly(rng, 4), random_poly(rng, 3)
+    yield P, Q, max(P.degree, Q.degree + 1) + 1, Q.degree + 1
     rng = random.Random(31)
     for _ in range(20):
         P = random_poly(rng, max_deg=5)
@@ -152,64 +179,13 @@ def _principal_cases():
     yield Poly([1, -2, 3]), Poly([2, -2]), 3, 2
     yield Poly([0, 1, -2, 3]), Poly([0, 2, -2]), 3, 2
     yield Poly([5, 0, 1, 4]), Poly([0, 0, 7]), 3, 2
-    for n in (3, 4):
-        F = generic_poly(n)
-        yield F, F.derivative(), None, None
-        yield F, F.derivative(), n + 1, n
-    F = generic_poly(3)
-    G = Poly([F.coeff(1), F.coeff(0)])  # a symbolic Q of actual degree 1
-    yield F, G, 3, 2
-
-
-def test_principal_coefficient_is_the_principal_subresultant():
-    for P, Q, p, q in _principal_cases():
-        fp = P.degree if p is None else p
-        fq = Q.degree if q is None else q
-        for k in range(fq + 1):
-            got = principal_coefficient(P, Q, k, p=p, q=q)
-            assert got == subresultant_det(P, Q, k, p=p, q=q).coeff(k), (P, Q, k, p, q)
-            assert got == principal_oracle(P, Q, k, fp, fq), (P, Q, k, p, q)
-
-
-@pytest.mark.parametrize(
-    "P, Q, k, p, q, error",
-    [
-        (Poly([1, 2, 3, 4]), Poly([3, 4, 2]), 3, None, None, DegreeOutOfRange),  # k > q
-        (Poly([1, 2, 3, 4]), Poly([3, 4, 2]), -1, None, None, DegreeOutOfRange),
-        (Poly([1, 2, 3, 4]), Poly([3, 4, 2]), 0, 2, 1, DegreeOutOfRange),  # formal below actual
-        (Poly([1, 2, 3]), Poly([1, 2, 3]), 0, None, None, ValueError),  # p == q
-        (Poly([1, 2, 3]), Poly(), 0, 2, -1, ValueError),  # q < 0
-        (Poly(), Poly([1]), 0, None, 0, ZeroPolynomial),  # no formal degree for zero P
-        (Poly([1, 2]), Poly(), 0, 1, None, ZeroPolynomial),
-    ],
-)
-def test_principal_coefficient_guards_match_subresultant_det(P, Q, k, p, q, error):
-    with pytest.raises(error):
-        subresultant_det(P, Q, k, p=p, q=q)
-    with pytest.raises(error):
-        principal_coefficient(P, Q, k, p=p, q=q)
-
-
-def _subresultant_cases():
-    rng = random.Random(29)
-    for n in (3, 4):
-        F = generic_poly(n)
-        yield F, F.derivative(), n, n - 1
-    F = generic_poly(3)
-    yield F, F.derivative(), 4, 3  # padded formal degrees
-    yield F, Poly([F.coeff(1), F.coeff(0)]), 4, 2
-    for _ in range(8):
-        P = Poly([random_sympoly(rng, 3, max_terms=2, max_exp=2) for _ in range(rng.randint(1, 4))])
-        Q = Poly([random_sympoly(rng, 3, max_terms=2, max_exp=2) for _ in range(rng.randint(1, 3))])
-        if P and Q:
-            q = Q.degree + rng.randint(0, 1)
-            yield P, Q, max(P.degree, q + 1) + rng.randint(0, 1), q
-    P, Q = random_poly(rng, 4), random_poly(rng, 3)
-    yield P, Q, max(P.degree, Q.degree + 1) + 1, Q.degree + 1
 
 
 def test_subresultant_det_matches_cofactor_dets():
+    # every k in 0..q, so k = q's convention is checked too
     for P, Q, p, q in _subresultant_cases():
-        for k in range(q + 1):
+        fp = P.degree if p is None else p
+        fq = Q.degree if q is None else q
+        for k in range(fq + 1):
             got = subresultant_det(P, Q, k, p=p, q=q)
-            assert [got.coeff(j) for j in range(k, -1, -1)] == subresultant_oracle(P, Q, k, p, q), (P, Q, k, p, q)
+            assert [got.coeff(j) for j in range(k, -1, -1)] == subresultant_oracle(P, Q, k, fp, fq), (P, Q, k, p, q)
