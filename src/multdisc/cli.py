@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage/parse errors, 2 mathematical anomalies
 import argparse
 import functools
 import json
+import random
 import sys
 
 from .combinat import parse_partition, partitions
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .scalars import format_scalar, parse_scalar
 from .suites import SUITES, run_suite
-from .unipoly import generic_poly, parse_poly
+from .unipoly import Poly, generic_poly, parse_poly
 from .yhz import (
     measured_size,
     yhz_condition,
@@ -177,14 +178,13 @@ def cmd_yhz(args, out):
     mu = _parse_mu(args.mu)
     if sum(mu) != args.n:
         raise ParseError(f"{_mu_str(mu)} does not partition n = {args.n}")
+    stated = 2 <= len(mu) <= args.n - 2  # where the closed-form degree holds
     payload = {
         "n": args.n,
         "mu": list(mu),
         "count": yhz_count(mu),
-        "max_degree": yhz_degree(mu) if len(mu) >= 2 else None,
-        "degree_lower_bound": (
-            yhz_degree_lower_bound(args.n, mu[1]) if len(mu) >= 2 else None
-        ),
+        "max_degree": yhz_degree(mu) if stated else None,
+        "degree_lower_bound": yhz_degree_lower_bound(args.n, mu[1]) if stated else None,
     }
     if args.eval:
         poly = _parse_input_poly(args.eval)
@@ -234,7 +234,43 @@ def cmd_yhz(args, out):
     return EXIT_OK
 
 
-def _table_rows(n, measure_upto, symbolic_cap):
+def _scaling_degree(at_r, at_2r):
+    # a homogeneous P of degree d has P(2r) = 2^d P(r)
+    ratio, rest = divmod(at_2r, at_r)
+    if rest or ratio < 1 or ratio & (ratio - 1):
+        raise RuntimeError(f"P(2r)/P(r) = {at_2r}/{at_r} is not a power of two")
+    return ratio.bit_length() - 1
+
+
+def _evaluated_size(n, mu):
+    """(deg D_mu, yhz count, yhz max degree) measured by evaluation, or None.
+
+    D_mu and every yhz equation and inequation are homogeneous in a_0..a_n:
+    each is a determinant whose rows are homogeneous of one degree each.
+    So at an integer point r with P(r) != 0, P(2r) = 2^d P(r): the nonzero
+    value proves P is not identically zero, and the ratio gives its exact
+    total degree d.  The numeric chain at formal degrees is the symbolic
+    chain specialised at r (see the subresultants module), so it has the
+    same equations.  a_0 > 0 keeps deg F = n.  A point where some value
+    vanishes is retried with the next seed; None after five points.
+    """
+    for t in range(5):
+        rng = random.Random(f"{n}:{mu}:{t}")
+        r = [rng.randint(1, 10**6), *(rng.randint(-(10**6), 10**6) for _ in range(n))]
+        at_r = _condition_values(Poly(r), mu)
+        if all(at_r):
+            at_2r = _condition_values(Poly([2 * c for c in r]), mu)
+            degrees = [_scaling_degree(a, b) for a, b in zip(at_r, at_2r)]
+            return degrees[0], len(degrees) - 1, max(degrees[1:])
+    return None
+
+
+def _condition_values(F, mu):
+    cond = yhz_condition(F, mu)
+    return [dmu(F, mu).value, *cond.equations, cond.inequation]
+
+
+def _table_rows(n, measure_upto):
     rows = []
     for m in range(2, n - 1):
         for mu in reversed(partitions(n, m)):
@@ -248,39 +284,17 @@ def _table_rows(n, measure_upto, symbolic_cap):
                 "d_yhz": yhz_degree(mu),
             }
             if measure_upto and n <= measure_upto:
-                if n > symbolic_cap:
-                    raise CapExceeded(f"symbolic measurement capped at degree {symbolic_cap}")
-                F = generic_poly(n)
-                dres = dmu(F, mu, symbolic_cap=symbolic_cap)
-                d_new_measured = dres.value.total_degree() if dres.value else 0
-                try:
-                    count, max_deg = measured_size(yhz_condition(F, mu))
-                    degenerate = False
-                except ChainDegenerate:
-                    count, max_deg = None, None
-                    degenerate = True
-                row.update(
-                    {
-                        "measured_d_new": d_new_measured,
-                        "measured_num_yhz": count,
-                        "measured_d_yhz": max_deg,
-                        "match": (
-                            "degenerate"
-                            if degenerate
-                            else str(
-                                d_new_measured == row["d_new"]
-                                and count == row["num_yhz"]
-                                and max_deg == row["d_yhz"]
-                            ).lower()
-                        ),
-                    }
-                )
+                size = _evaluated_size(n, mu)
+                measured = size or (None, None, None)
+                row.update(zip(("measured_d_new", "measured_num_yhz", "measured_d_yhz"), measured))
+                expected = (row["d_new"], row["num_yhz"], row["d_yhz"])
+                row["match"] = str(size == expected).lower() if size else "degenerate"
             rows.append(row)
     return rows
 
 
 def cmd_table(args, out):
-    rows = _table_rows(args.n, args.measure_upto, args.symbolic_cap)
+    rows = _table_rows(args.n, args.measure_upto)
     columns = ["n", "m", "mu", "num_new", "num_yhz", "d_new", "d_yhz"]
     if rows and "measured_d_new" in rows[0]:
         columns += ["measured_d_new", "measured_num_yhz", "measured_d_yhz", "match"]
@@ -352,7 +366,7 @@ def build_parser():
     p = sub.add_parser("table", help="size comparison of the two conditions for degree n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--measure-upto", type=int, default=0,
-                   help="add symbolically measured columns when n is at most this")
+                   help="add columns measured by evaluation when n is at most this")
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
     p.add_argument("--suite", required=True, help=f"one of: {', '.join(sorted(SUITES))}")
@@ -366,7 +380,7 @@ def build_parser():
         if name in ("classify", "dmu", "yhz"):
             p.add_argument("--truncate-digits", type=int, default=0,
                            help="elide middles of long values in text output")
-        if name in ("dmu", "yhz", "table"):
+        if name in ("dmu", "yhz"):
             p.add_argument("--symbolic-cap", type=int, default=SYMBOLIC_CAP)
 
     return parser
@@ -398,7 +412,7 @@ def main(argv=None, out=None):
     except (MultdiscError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - internal failures
+    except Exception as exc:  # internal failures
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

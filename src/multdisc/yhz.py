@@ -52,10 +52,15 @@ def _m_counts(mu):
 
 
 def yhz_degree(mu):
-    """Maximum total degree among the condition polynomials (closed form)."""
+    """Maximum total degree among the condition polynomials (closed form).
+
+    Stated for 2 <= m <= n - 2 parts.  At m = n - 1, mu = (2, 1^(n-2)), the
+    condition is the inequation alone, a coefficient of S_1(F, F') of
+    degree 2n - 3, not the formula's 2n - 1.
+    """
     mu = check_partition(mu)
-    if len(mu) < 2:
-        raise DegreeMismatch("the degree formula needs at least two parts")
+    if not 2 <= len(mu) <= sum(mu) - 2:
+        raise DegreeMismatch("the degree formula needs 2 <= m <= n - 2 parts")
     mu1, mu2 = mu[0], mu[1]
     m = _m_counts(mu)
     if mu1 == mu2:

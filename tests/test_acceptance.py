@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from multdisc.cli import EXIT_OK, main
+from multdisc.cli import EXIT_OK, _evaluated_size, main
 from multdisc.combinat import partitions
 from multdisc.discriminant import classify_report, dmu, dmu_degree
 from multdisc.errors import ChainDegenerate
@@ -56,7 +56,10 @@ TABLE1_N8 = {
 
 # sha256 over "<exit code>\n<stdout>" of `dmu --symbolic` then `yhz`, both
 # --format json, for every partition mu of n = 1..6 in partitions(n, m) order
-SYMBOLIC_STDOUT_SHA256 = "561c1f59d840577b82742a9f6a4eeed609048d7fe809a1f91b8cdb66061a3e13"
+SYMBOLIC_STDOUT_SHA256 = "cdf546fc2ab2f939ad5cc98a9fd56b13ee57376af143c76e31508f88811cb6ed"
+
+# sha256 of the stdout of `table --n 7 --measure-upto 7 --format json`
+TABLE_N7_JSON_SHA256 = "8ede7b506ba2fd77a935c9f5684b999ccabcbabbceb3be19129fcf2765da4321"
 
 ROUNDTRIP_TRIALS = 500
 ROUNDTRIP_SEED = 20240811
@@ -125,9 +128,10 @@ def test_criterion_2_table_reproduction():
 
 
 def test_criterion_3_symbolic_degree_audit():
+    # the symbolic polynomials pin the sizes that table measures by evaluation
     start = time.perf_counter()
     degenerate = []
-    for n in (4, 5):
+    for n in (4, 5, 6):
         F = generic_poly(n)
         for m in range(2, n - 1):
             for mu in partitions(n, m):
@@ -141,10 +145,11 @@ def test_criterion_3_symbolic_degree_audit():
                     degenerate.append((n, mu, str(exc)))
                     continue
                 assert measured_size(cond) == (yhz_count(mu), yhz_degree(mu)), (n, mu)
+                assert _evaluated_size(n, mu) == (value.total_degree(), *measured_size(cond)), (n, mu)
     if degenerate:
         print(f"ACCEPTANCE 3: degenerate chains reported: {degenerate}")
     assert not degenerate
-    _report("3 symbolic degree audit n<=5", time.perf_counter() - start, 120.0)
+    _report("3 symbolic degree audit n<=6", time.perf_counter() - start, 120.0)
 
 
 def test_criterion_4_classification_roundtrip(roundtrip):
@@ -217,18 +222,20 @@ def test_criterion_8_specialisations(roundtrip):
 
 
 def test_criterion_9_measured_comparison_n7():
-    # the paper's size comparison, measured symbolically one degree past
-    # the default SYMBOLIC_CAP
+    # the paper's size comparison, measured by evaluation at n = 7..10
     start = time.perf_counter()
-    out = io.StringIO()
-    argv = ["table", "--n", "7", "--measure-upto", "7", "--symbolic-cap", "7", "--format", "json"]
-    assert main(argv, out=out) == EXIT_OK
-    rows = json.loads(out.getvalue())
-    assert len(rows) == 12
-    for row in rows:
-        assert row["match"] == "true", row
-        assert row["num_new"] <= row["num_yhz"] and row["d_new"] < row["d_yhz"], row
-    _report("9 measured comparison n=7", time.perf_counter() - start, 120.0)
+    for n, row_count in ((7, 12), (8, 19), (9, 27), (10, 39)):
+        out = io.StringIO()
+        argv = ["table", "--n", str(n), "--measure-upto", str(n), "--format", "json"]
+        assert main(argv, out=out) == EXIT_OK
+        if n == 7:
+            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == TABLE_N7_JSON_SHA256
+        rows = json.loads(out.getvalue())
+        assert len(rows) == row_count
+        for row in rows:
+            assert row["match"] == "true", row
+            assert row["num_new"] <= row["num_yhz"] and row["d_new"] < row["d_yhz"], row
+    _report("9 measured comparison n=7..10", time.perf_counter() - start, 120.0)
 
 
 def test_symbolic_stdout_is_pinned():

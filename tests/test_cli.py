@@ -4,7 +4,8 @@ import sys
 from decimal import Decimal
 
 import multdisc.discriminant as disc
-from multdisc.cli import EXIT_ANOMALY, EXIT_OK, EXIT_USAGE, build_parser, main
+import multdisc.cli as cli
+from multdisc.cli import EXIT_ANOMALY, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from multdisc.oracle import RootSpec, poly_from_roots
 from multdisc.scalars import format_scalar
 
@@ -146,6 +147,11 @@ def test_yhz_symbolic_and_eval():
     assert payload["equation_values"] == ["0"]
     code, text = run(["yhz", "--n", "4", "--mu", "2,2", "--eval", "1,-1,-3,5,-2", "--format", "json"])
     assert json.loads(text)["satisfied"] is False
+    # m = n - 1: the closed forms are not stated there
+    code, text = run(["yhz", "--n", "5", "--mu", "2,1,1,1", "--format", "json"])
+    payload = json.loads(text)
+    assert payload["max_degree"] is None and payload["degree_lower_bound"] is None
+    assert payload["measured_max_degree"] == 7
 
 
 def test_table_n8_has_every_partition_row():
@@ -176,6 +182,30 @@ def test_table_measured():
     lines = text.strip().splitlines()
     assert lines[0].endswith("measured_d_new,measured_num_yhz,measured_d_yhz,match")
     assert all(line.endswith("true") for line in lines[1:])
+    code, text = run(["table", "--n", "8", "--measure-upto", "8", "--format", "json"])
+    assert code == EXIT_OK
+    rows = json.loads(text)
+    assert len(rows) == 19 and all(row["match"] == "true" for row in rows)
+
+
+def test_table_measured_degenerate_point(monkeypatch):
+    # D_mu vanishes at every point tried: the row reads degenerate
+    monkeypatch.setattr(cli, "dmu", lambda F, mu, **kw: disc.DmuResult(mu, "numeric", 0, 1, 1))
+    code, text = run(["table", "--n", "4", "--measure-upto", "4", "--format", "json"])
+    assert code == EXIT_OK
+    for row in json.loads(text):
+        assert row["match"] == "degenerate"
+        assert row["measured_d_new"] is row["measured_num_yhz"] is row["measured_d_yhz"] is None
+
+
+def test_table_measured_ratio_not_power_of_two(monkeypatch, capsys):
+    # D_mu(2r) = 3 D_mu(r) is no homogeneous degree: an internal error
+    values = iter([1, 3])
+    monkeypatch.setattr(cli, "dmu", lambda F, mu, **kw: disc.DmuResult(mu, "numeric", next(values), 1, 1))
+    code, text = run(["table", "--n", "4", "--measure-upto", "4"])
+    assert code == EXIT_INTERNAL
+    assert text == ""
+    assert "is not a power of two" in capsys.readouterr().err
 
 
 def test_verify_pass_and_unknown():
@@ -186,6 +216,8 @@ def test_verify_pass_and_unknown():
     assert code == EXIT_USAGE
     # options a subcommand does not use are unknown to it
     code, _ = run(["classify", "--coeffs", "1,-1,-3,5,-2", "--symbolic-cap", "3"])
+    assert code == EXIT_USAGE
+    code, _ = run(["table", "--n", "4", "--symbolic-cap", "7"])
     assert code == EXIT_USAGE
     code, _ = run(["table", "--n", "4", "--truncate-digits", "1"])
     assert code == EXIT_USAGE

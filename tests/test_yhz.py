@@ -70,6 +70,10 @@ def test_degree_examples():
     assert yhz_degree((4, 4)) == 81
     assert yhz_degree((7, 1)) == 33
     assert yhz_degree((6, 1, 1)) == 45
+    # stated for 2 <= m <= n - 2 parts only
+    for mu in ((5,), (2, 1), (2, 1, 1, 1), (1, 1, 1, 1)):
+        with pytest.raises(DegreeMismatch):
+            yhz_degree(mu)
 
 
 def test_degree_lower_bound_examples():
