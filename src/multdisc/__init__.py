@@ -27,6 +27,7 @@ from .oracle import (
     dbar_mu,
     dmu_by_stacks,
     poly_from_roots,
+    random_factored,
     random_instance,
 )
 from .scalars import clear_denominators, exact_div, format_scalar, parse_scalar

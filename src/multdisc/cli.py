@@ -218,8 +218,9 @@ def cmd_yhz(args, out):
         return EXIT_OK
     out.write(f"repeated-subresultant condition for mu = {_mu_str(mu)}, n = {args.n}\n")
     out.write(f"closed-form count: {payload['count']}\n")
-    out.write(f"closed-form max degree: {payload['max_degree']}\n")
-    out.write(f"degree lower bound: {payload['degree_lower_bound']}\n")
+    # json.dumps prints an absent closed form as null, as the JSON output does
+    out.write(f"closed-form max degree: {json.dumps(payload['max_degree'])}\n")
+    out.write(f"degree lower bound: {json.dumps(payload['degree_lower_bound'])}\n")
     if args.eval:
         for i, v in enumerate(payload["equation_values"]):
             out.write(f"equation {i}: {_truncate(v, args.truncate_digits)}\n")

@@ -9,9 +9,31 @@ repeated mu_i times), of the determinant of the stacked coefficient rows
 
 a square stack of dimension 2n - mu_m.  Among degree-n polynomials with
 exactly m distinct roots, D_mu(F) != 0 holds precisely when the
-multiplicity structure of F is mu, so a classifier only has to find the
-number of distinct roots (principal subresultant coefficients of F, F')
-and then test each candidate partition.
+multiplicity structure of F is mu.
+
+classify_report uses that theorem to certify, not to search.  The
+principal subresultant coefficients of F, F' give m, and the chain step
+S_(n-m) is gcd(F, F') up to a scalar (psd_sequence).  Yun's squarefree
+decomposition F = c prod_i f_i^i (D. Y. Y. Yun, SYMSAC 1976), each gcd
+the primitive part of a subresultant chain step and each quotient exact,
+then gives mu directly: f_i carries the roots of multiplicity i.  Only
+the true mu's D_mu proves anything, and it has a closed form (lc and
+T_v = F^(v)/v! as in the next paragraph).  A root of
+multiplicity i has T_v(alpha) = 0 for v < i, so in the root-side identity
+below every root of multiplicity i contributes T_i(alpha) to each of its
+i factors, and
+
+    D_mu = lc^(n - mu_m) prod_i N_i^i,   N_i = prod over f_i(alpha) = 0 of T_i(alpha).
+
+R = prem(T_i, f_i) equals lc(f_i)^e T_i at the roots of f_i, with
+e = deg T_i - deg f_i + 1, so the resultant res(f_i, R) is
+lc(f_i)^(deg R + e deg f_i) N_i, and the whole product is one exact
+division of integers.  Every other candidate with m parts has
+D_nu = 0 by the theorem, and is reported as 0 without evaluating it.
+If the part counts of the psd and of Yun disagree, or the certificate is
+0 or not an integer, the theorem or the code is wrong, and classify
+raises AmbiguousClassification.  `verify --suite certificates` runs the
+exhaustive check: dmu on every candidate, against classify's report.
 
 D_mu is not computed as one determinant per rearrangement.  Write lc for
 the leading coefficient of F, T_v = F^(v)/v! for a distinct part v,
@@ -50,9 +72,8 @@ coefficient ring:
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
-from math import factorial, prod
+from math import factorial, gcd, prod
 from operator import mul
 
 from .combinat import check_partition, expand_partition, partitions, permutation_count
@@ -64,9 +85,9 @@ from .errors import (
 )
 from .linalg import wedge_dp
 from .scalars import clear_denominators, exact_div
-from .subresultants import subresultant_chain
+from .subresultants import pseudo_rem, subresultant_chain
 from .sympoly import SymPoly
-from .unipoly import Poly
+from .unipoly import Poly, poly_div
 
 SYMBOLIC_CAP = 6
 
@@ -84,6 +105,7 @@ class DmuResult:
 class PsdReport:
     psd: tuple
     ndr: int
+    gcd: Poly  # S_(n - ndr) of F, F' with F's denominators cleared: their gcd up to a scalar
 
 
 @dataclass(frozen=True)
@@ -142,7 +164,6 @@ def _scaled_columns(F, values):
     return g, cols
 
 
-@lru_cache(maxsize=256)
 def _power_sum_plan(mu):
     """The multi-index table of _newton_traces, which depends on mu only.
 
@@ -250,7 +271,8 @@ def psd_sequence(F):
 
     psd_k vanishes for k below the gcd degree of F and F' and is nonzero
     there, so the number of distinct roots is n minus the first nonzero
-    index.  Rational coefficients are cleared first; zero-testing is
+    index, and the chain step there is the gcd up to a scalar.  Rational
+    coefficients are cleared first; zero-testing is
     normalisation-independent.
     """
     if not F:
@@ -263,11 +285,75 @@ def psd_sequence(F):
     chain = subresultant_chain(Fz, Fz.derivative())
     psd = tuple(chain[k].coeff(k) for k in range(n))
     first = next(k for k, v in enumerate(psd) if v)
-    return PsdReport(psd, n - first)
+    return PsdReport(psd, n - first, chain[first])
+
+
+def _primitive(P):
+    content = gcd(*P.coeffs)
+    return Poly([c // content for c in P.coeffs])
+
+
+def _gcd(P, Q):
+    """The primitive gcd of integer P and Q, deg P > deg Q or Q = 0.
+
+    It is the chain step at the first nonzero principal subresultant
+    coefficient, as in psd_sequence.
+    """
+    if not Q:
+        return _primitive(P)
+    chain = subresultant_chain(P, Q)
+    return _primitive(next(S for k, S in enumerate(chain) if S.coeff(k)))
+
+
+def _yun(F, g):
+    """[f_1, f_2, ...] with F = c prod_i f_i^i, from g = gcd(F, F') up to a scalar.
+
+    Yun's recurrence: b = F/g, d = F'/g - b'; then f_i = gcd(b, d),
+    b <- b/f_i and d <- d/f_i - (b/f_i)'.  Every gcd is primitive, so by
+    Gauss's lemma every quotient is an exact one over the integers, and
+    poly_div raises on a remainder.
+    """
+    g = _primitive(g)
+    b = poly_div(F, g)
+    d = poly_div(F.derivative(), g) - b.derivative()
+    parts = []
+    # F has no root of multiplicity above deg F, so a correct run stops by
+    # then; the bound turns a defect into a part count that classify rejects
+    while b.degree > 0 and len(parts) < F.degree:
+        f = _gcd(b, d)
+        b = poly_div(b, f)
+        d = poly_div(d, f) - b.derivative()
+        parts.append(f)
+    return parts
+
+
+def _certificate(F, parts, mu):
+    """D_mu(F) for integer F and its Yun parts, by the closed form above."""
+    n = F.degree
+    num, den = F.lead ** (n - mu[-1]), 1
+    for i, f in enumerate(parts, 1):
+        if not f.degree:
+            continue
+        # deg T_i = n - i >= deg f_i, as F has a root outside f_i
+        t = F.taylor_derivative(i)
+        e = t.degree - f.degree + 1
+        r = pseudo_rem(t, f)
+        if not r:
+            return 0
+        num *= subresultant_chain(f, r)[0].coeff(0) ** i
+        den *= f.lead ** (i * (r.degree + e * f.degree))
+    value, rest = divmod(num, den)
+    if rest:
+        raise AmbiguousClassification(f"the certificate of {mu} is not an integer")
+    return value
 
 
 def classify_report(F):
-    """Distinct-root count, winning partition, and per-candidate certificates."""
+    """Distinct-root count, multiplicity structure, and per-candidate certificates.
+
+    Candidates other than the structure read 0 by the paper's theorem;
+    see the module docstring.
+    """
     if not F:
         raise ZeroPolynomial("cannot classify the zero polynomial")
     n = F.degree
@@ -276,14 +362,19 @@ def classify_report(F):
     candidates = partitions(n, m)
     if len(candidates) == 1:  # m in {1, n - 1, n}
         return ClassifyReport(n, m, candidates[0], ())
-    certificates = tuple((nu, dmu(F, nu).value) for nu in candidates)
-    winners = [nu for nu, value in certificates if value]
-    if len(winners) != 1:
+    ints, _ = clear_denominators(list(F.coeffs))
+    Fz = Poly(ints)
+    parts = _yun(Fz, report.gcd)
+    mu = tuple(i for i in range(len(parts), 0, -1) for _ in range(parts[i - 1].degree))
+    if len(mu) != m:
         raise AmbiguousClassification(
-            f"{len(winners)} candidates nonzero among {candidates}: "
-            f"{[(nu, value) for nu, value in certificates]}"
+            f"the psd counts {m} distinct roots, Yun's decomposition {len(mu)}: {mu}"
         )
-    return ClassifyReport(n, m, winners[0], certificates)
+    value = _certificate(Fz, parts, mu)
+    if not value:
+        raise AmbiguousClassification(f"the certificate of {mu} is 0")
+    certificates = tuple((nu, value if nu == mu else 0) for nu in candidates)
+    return ClassifyReport(n, m, mu, certificates)
 
 
 def classify(F):

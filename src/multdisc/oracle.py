@@ -19,6 +19,7 @@ matrices) compute both sides independently and compare exactly.
 import random
 from dataclasses import dataclass
 from itertools import permutations
+from math import gcd, isqrt
 
 from .combinat import expand_partition, multiset_permutations, partitions, repetition_constant
 from .discriminant import dmu_rows
@@ -158,3 +159,42 @@ def random_instance(seed, n, m):
     mults = rng.choice(partitions(n, m))
     lead = rng.choice((-2, -1, 1, 1, 2, 3))
     return RootSpec(roots=roots, mults=mults, lead=lead)
+
+
+def random_factored(seed, n, digits=2):
+    """Deterministic random integer polynomial of degree n with a known
+    multiplicity structure: a product of pairwise coprime primitive factors
+    raised to powers, linear a x + b and irreducible quadratic
+    a x^2 + b x + c (a discriminant that is not a square: two irrational
+    or two complex conjugate roots), coefficients below 10^digits and a
+    lead in +-1..3.  Returns (F, structure)."""
+    if n < 1:
+        raise EmptyDomain(f"no factored instance of degree {n}")
+    rng = random.Random(seed)
+    bound = 10**digits - 1
+    factors, parts = set(), []
+    out = Poly([rng.choice((-3, -2, -1, 1, 2, 3))])
+    left = n
+    while left:
+        power = rng.randint(1, min(4, left))
+        quadratic = 2 * power <= left and rng.random() < 0.4
+        while True:
+            a = rng.randint(1, bound)
+            if quadratic:
+                b, c = rng.randint(-bound, bound), rng.randint(-bound, bound)
+                disc = b * b - 4 * a * c
+                if not c or (disc >= 0 and isqrt(disc) ** 2 == disc):
+                    continue
+                coeffs = (a, b, c)
+            else:
+                coeffs = (a, rng.randint(-bound, bound))
+            g = gcd(*coeffs)
+            factor = tuple(x // g for x in coeffs)
+            if factor not in factors:
+                break
+        factors.add(factor)
+        parts.extend([power] * (len(factor) - 1))
+        left -= power * (len(factor) - 1)
+        for _ in range(power):
+            out = out * Poly(factor)
+    return out, tuple(sorted(parts, reverse=True))

@@ -8,9 +8,10 @@ no trial fails.  All checks are exact equalities.
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .combinat import partitions
-from .discriminant import classify, dmu, dmu_degree, psd_sequence
+from .discriminant import classify, classify_report, dmu, dmu_degree, psd_sequence
 from .errors import UnknownSuite
 from .linalg import Matrix, dp
 from .oracle import (
@@ -19,8 +20,10 @@ from .oracle import (
     check_dp_ratio,
     dbar_mu,
     poly_from_roots,
+    random_factored,
     random_instance,
 )
+from .scalars import normalize_scalar
 from .sympoly import SymPoly
 from .unipoly import Poly
 from .yhz import yhz_condition
@@ -182,6 +185,40 @@ def suite_yhz_agree(trials, seed):
     return result
 
 
+def suite_certificates(trials, seed):
+    """classify_report against dmu on every candidate partition.
+
+    Even trials draw integer roots (random_instance), odd ones products of
+    linear and irreducible quadratic factors (random_factored), so roots
+    are also irrational or complex; every third input is divided by a
+    random denominator.  classify evaluates only the true structure's
+    certificate in closed form; dmu evaluates them all.
+    """
+    result = SuiteResult("certificates", trials, 0)
+    rng = random.Random(seed)
+    for trial in range(trials):
+        n = rng.randint(4, 8)
+        if trial % 2:
+            F, truth = random_factored(rng.randrange(2**32), n, rng.randint(1, 3))
+        else:
+            spec = random_instance(rng.randrange(2**32), n, rng.randint(2, n - 2))
+            F, truth = poly_from_roots(spec), spec.partition()
+        if trial % 3 == 2:
+            den = rng.randint(2, 10**6)
+            F = Poly([normalize_scalar(Fraction(c, den)) for c in F.coeffs])
+        candidates = partitions(n, len(truth))
+        expected = tuple((nu, dmu(F, nu).value) for nu in candidates) if len(candidates) > 1 else ()
+        report = classify_report(F)
+        if report.multiplicity == truth and report.certificates == expected:
+            result.passed += 1
+        else:
+            result.failures.append(
+                f"trial {trial}: F={F}, structure {truth}, classified {report.multiplicity}, "
+                f"certificates {report.certificates}, dmu {expected}"
+            )
+    return result
+
+
 SUITES = {
     "lemma2": suite_lemma2,
     "lemma3": suite_lemma3,
@@ -189,6 +226,7 @@ SUITES = {
     "roundtrip": suite_roundtrip,
     "scaling": suite_scaling,
     "yhz-agree": suite_yhz_agree,
+    "certificates": suite_certificates,
 }
 
 

@@ -197,9 +197,10 @@ def test_criterion_7_root_side_consistency(roundtrip):
             root_side = dbar_mu(F, alphas, nu)
             assert bool(root_side) == bool(coeff_side), (spec, nu)
             assert coeff_side == spec.lead ** (n - nu[-1]) * root_side, (spec, nu)
+            assert coeff_side == dmu(F, nu).value, (spec, nu)
             checked += 1
     assert checked > 200
-    print(f"ACCEPTANCE 7: exact relation dmu = lead^(n-mu_m)*dbar held on {checked} candidate pairs")
+    print(f"ACCEPTANCE 7: classify's certificate = dmu = lead^(n-mu_m)*dbar held on {checked} candidate pairs")
     _report("7 root-side consistency", time.perf_counter() - start, 600.0)
 
 

@@ -1,10 +1,12 @@
 """Smoke test of the benchmark harness: one traced round per workload.
 
-wide drives the numeric D_mu through classify; symbolic drives the symbolic
-D_mu (checked against the pinned term counts and the degree 2n - mu_m) and
-yhz.  Each round checks that the harness runs, that every answer is
-correct and that its spans still reach the library (the tracer patches
-names such as multdisc.discriminant.dmu); it makes no timing assertion.
+wide drives classify, whose psd, Yun decomposition and closed-form
+certificate run on subresultant chains and never call dmu; symbolic
+drives the symbolic D_mu (checked against the pinned term counts and the
+degree 2n - mu_m) and yhz.  Each round checks that the harness runs, that
+every answer is correct and that its spans still reach the library (the
+tracer patches names such as multdisc.discriminant.subresultant_chain and
+multdisc.discriminant.dmu); it makes no timing assertion.
 """
 
 import json
@@ -29,4 +31,5 @@ def test_bench_traced_round(workload):
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] is True
-    assert last["metrics"]["discriminant.dmu.calls"]["value"] > 0
+    reached = {"wide": "subresultants.subresultant_chain.calls", "symbolic": "discriminant.dmu.calls"}
+    assert last["metrics"][reached[workload]]["value"] > 0

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+from dataclasses import replace
 from decimal import Decimal
 
 import multdisc.discriminant as disc
@@ -59,8 +60,10 @@ def test_classify_degree_14():
     payload = json.loads(text)
     assert payload["degree"] == 14 and payload["ndr"] == 5
     assert payload["multiplicity"] == [5, 3, 3, 2, 1]
-    nonzero = [c["mu"] for c in payload["certificates"] if c["value"] != "0"]
-    assert nonzero == [[5, 3, 3, 2, 1]]
+    nonzero = [c for c in payload["certificates"] if c["value"] != "0"]
+    assert [c["mu"] for c in nonzero] == [[5, 3, 3, 2, 1]]
+    # the closed-form certificate is the Newton kernel's D_mu
+    assert nonzero[0]["value"] == format_scalar(disc.dmu(F, (5, 3, 3, 2, 1)).value)
 
 
 def test_classify_leading_zero():
@@ -152,6 +155,11 @@ def test_yhz_symbolic_and_eval():
     payload = json.loads(text)
     assert payload["max_degree"] is None and payload["degree_lower_bound"] is None
     assert payload["measured_max_degree"] == 7
+    # the text output prints the same null token
+    code, text = run(["yhz", "--n", "5", "--mu", "2,1,1,1"])
+    assert code == EXIT_OK
+    assert "closed-form max degree: null\n" in text
+    assert "degree lower bound: null\n" in text
 
 
 def test_table_n8_has_every_partition_row():
@@ -251,11 +259,26 @@ def test_truncate_digits():
     assert json.loads(text)["certificates"][0]["value"] == "-729"
 
 
-def test_ambiguity_maps_to_anomaly_exit(monkeypatch):
-    fake = lambda F, nu, **kw: disc.DmuResult(nu, "numeric", 0, 1, 1)
-    monkeypatch.setattr(disc, "dmu", fake)
-    code, _ = run(["classify", "--coeffs", "1,-1,-3,5,-2"])
-    assert code == EXIT_ANOMALY
+def test_ambiguity_maps_to_anomaly_exit(monkeypatch, capsys):
+    F42 = "1,0,-6,4,9,-12,4"  # (x - 1)^4 (x + 2)^2
+    # the psd and Yun disagree on the number of distinct roots
+    real = disc.psd_sequence
+    monkeypatch.setattr(disc, "psd_sequence", lambda F: replace(real(F), ndr=3))
+    code, text = run(["classify", "--coeffs", F42])
+    assert code == EXIT_ANOMALY and text == ""
+    assert capsys.readouterr().err.startswith("anomaly: the psd counts 3 distinct roots")
+    # the certificate of the structure Yun finds is 0
+    monkeypatch.setattr(disc, "psd_sequence", real)
+    monkeypatch.setattr(disc, "pseudo_rem", lambda P, Q: disc.Poly())
+    code, text = run(["classify", "--coeffs", F42])
+    assert code == EXIT_ANOMALY and text == ""
+    assert capsys.readouterr().err.startswith("anomaly: the certificate of (4, 2) is 0")
+
+
+def test_verify_certificates_suite():
+    code, text = run(["verify", "--suite", "certificates", "--trials", "6", "--seed", "3"])
+    assert code == EXIT_OK
+    assert text == "suite certificates: 6/6 trials passed\n"
 
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import prod
 
@@ -24,6 +25,7 @@ from multdisc.linalg import wedge_dp
 from multdisc.oracle import RootSpec, dmu_by_stacks, poly_from_roots, random_instance
 from multdisc.scalars import clear_denominators
 from multdisc.subresultants import subresultant_det
+from multdisc.suites import run_suite
 from multdisc.sympoly import SymPoly
 from multdisc.unipoly import Poly, generic_poly, parse_poly
 
@@ -365,11 +367,56 @@ def test_classify_completeness():
             assert bool(value) == (nu == spec.partition())
 
 
+def test_classify_high_degree_closed_form():
+    # (k, k-1, ..., 1) at n = 21, 28, 45: the one nonzero certificate is
+    # lc^(n - 1) prod_j T_(m_j)(r_j)^(m_j), computed from the known roots
+    rng = random.Random(45)
+    for k in (6, 7, 9):
+        mults = tuple(range(k, 0, -1))
+        n = sum(mults)
+        spec = RootSpec(roots=tuple(rng.sample(range(-9, 10), k)), mults=mults, lead=rng.choice((-2, 3)))
+        F = poly_from_roots(spec)
+        report = classify_report(F)
+        assert report.multiplicity == mults
+        expected = spec.lead ** (n - 1) * prod(
+            F.taylor_derivative(mult)(root) ** mult for root, mult in zip(spec.roots, mults)
+        )
+        assert [(nu, v) for nu, v in report.certificates if v] == [(mults, expected)]
+        assert [nu for nu, _ in report.certificates] == partitions(n, k)
+
+
+def test_certificates_suite():
+    # classify's certificates against dmu on every candidate, integer,
+    # irrational and complex roots, integer and rational coefficients
+    result = run_suite("certificates", 60, 7)
+    assert result.ok, result.failures[:3]
+    assert result.passed == 60
+
+
 def test_ambiguity_aborts_loudly(monkeypatch):
-    fake = lambda F, nu, **kw: disc.DmuResult(nu, "numeric", 0, 1, 1)
-    monkeypatch.setattr(disc, "dmu", fake)
-    with pytest.raises(AmbiguousClassification):
-        classify_report(F31)
+    F42 = poly_from_roots(RootSpec(roots=(1, -2), mults=(4, 2), lead=1))
+    assert classify(F42) == (4, 2)
+    real = disc.psd_sequence
+    # a psd count that disagrees with Yun's decomposition
+    for ndr in (3, 4):
+        monkeypatch.setattr(disc, "psd_sequence", lambda F: replace(real(F), ndr=ndr))
+        with pytest.raises(AmbiguousClassification, match=f"counts {ndr} distinct roots, Yun's decomposition 2"):
+            classify_report(F42)
+    monkeypatch.setattr(disc, "psd_sequence", real)
+    # a certificate that is 0: T_i vanishing at the roots of f_i
+    monkeypatch.setattr(disc, "pseudo_rem", lambda P, Q: Poly())
+    with pytest.raises(AmbiguousClassification, match=r"certificate of \(4, 2\) is 0"):
+        classify_report(F42)
+    monkeypatch.undo()
+    # a certificate that is not an integer: x^3 (2x^2 + 1) with the
+    # resultant for the simple roots off by one
+    F = Poly([2, 0, 1, 0, 0, 0])
+    assert classify(F) == (3, 1, 1)
+    chain = disc.subresultant_chain
+    off = lambda P, Q: [chain(P, Q)[0] + Poly([1])] if P.coeffs == (2, 0, 1) else chain(P, Q)
+    monkeypatch.setattr(disc, "subresultant_chain", off)
+    with pytest.raises(AmbiguousClassification, match="not an integer"):
+        classify_report(F)
 
 
 def test_classify_guards():
