@@ -18,10 +18,9 @@ import random
 import sys
 
 from .combinat import parse_partition, partitions
-from .discriminant import SYMBOLIC_CAP, classify_report, dmu, dmu_degree
+from .discriminant import classify_report, dmu, dmu_degree
 from .errors import (
     AmbiguousClassification,
-    CapExceeded,
     ChainDegenerate,
     LeadingZero,
     MultdiscError,
@@ -52,18 +51,23 @@ def _truncate(text, digits):
     return f"{text[:half]}...({omitted} digits)...{text[-half:]}"
 
 
-def _parse_mu(text):
+def _parse_mu(text, n):
     try:
-        return parse_partition(text)
+        mu = parse_partition(text)
     except ValueError as exc:
         raise ParseError(f"bad partition {text!r}: {exc}") from exc
+    if sum(mu) != n:
+        raise ParseError(f"{_mu_str(mu)} does not partition n = {n}")
+    return mu
 
 
-def _parse_input_poly(text):
+def _parse_input_poly(text, degree=None):
     poly = parse_poly(text)  # raises ParseError on an empty field
     # Poly drops leading zeros, so the lead is checked on the raw field
     if not parse_scalar(text.split(",", 1)[0]):
         raise LeadingZero(f"leading coefficient is zero: {text!r}")
+    if degree is not None and poly.degree != degree:
+        raise ParseError(f"--eval polynomial has degree {poly.degree}, expected {degree}")
     return poly
 
 
@@ -126,13 +130,11 @@ def cmd_classify(args, out):
 
 
 def cmd_dmu(args, out):
-    mu = _parse_mu(args.mu)
-    if sum(mu) != args.n:
-        raise ParseError(f"{_mu_str(mu)} does not partition n = {args.n}")
+    mu = _parse_mu(args.mu, args.n)
     if bool(args.symbolic) == bool(args.eval):
         raise ParseError("exactly one of --symbolic or --eval is required")
     if args.symbolic:
-        result = dmu(generic_poly(args.n), mu, symbolic_cap=args.symbolic_cap)
+        result = dmu(generic_poly(args.n), mu)
         value = result.value
         payload = {
             "n": args.n,
@@ -154,9 +156,7 @@ def cmd_dmu(args, out):
             out.write(f"total degree: {payload['total_degree']}\n")
             out.write(f"terms: {payload['terms']}\n")
     else:
-        poly = _parse_input_poly(args.eval)
-        if poly.degree != args.n:
-            raise ParseError(f"--eval polynomial has degree {poly.degree}, expected {args.n}")
+        poly = _parse_input_poly(args.eval, args.n)
         result = dmu(poly, mu)
         payload = {
             "n": args.n,
@@ -175,9 +175,7 @@ def cmd_dmu(args, out):
 
 
 def cmd_yhz(args, out):
-    mu = _parse_mu(args.mu)
-    if sum(mu) != args.n:
-        raise ParseError(f"{_mu_str(mu)} does not partition n = {args.n}")
+    mu = _parse_mu(args.mu, args.n)
     stated = 2 <= len(mu) <= args.n - 2  # where the closed-form degree holds
     payload = {
         "n": args.n,
@@ -187,9 +185,7 @@ def cmd_yhz(args, out):
         "degree_lower_bound": yhz_degree_lower_bound(args.n, mu[1]) if stated else None,
     }
     if args.eval:
-        poly = _parse_input_poly(args.eval)
-        if poly.degree != args.n:
-            raise ParseError(f"--eval polynomial has degree {poly.degree}, expected {args.n}")
+        poly = _parse_input_poly(args.eval, args.n)
         cond = yhz_condition(poly, mu)
         payload.update(
             {
@@ -200,8 +196,6 @@ def cmd_yhz(args, out):
             }
         )
     else:
-        if args.n > args.symbolic_cap:
-            raise CapExceeded(f"symbolic chain capped at degree {args.symbolic_cap}")
         cond = yhz_condition(generic_poly(args.n), mu)
         count, max_deg = measured_size(cond)
         payload.update(
@@ -381,8 +375,6 @@ def build_parser():
         if name in ("classify", "dmu", "yhz"):
             p.add_argument("--truncate-digits", type=int, default=0,
                            help="elide middles of long values in text output")
-        if name in ("dmu", "yhz"):
-            p.add_argument("--symbolic-cap", type=int, default=SYMBOLIC_CAP)
 
     return parser
 

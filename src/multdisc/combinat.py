@@ -56,6 +56,23 @@ def partitions(n, m):
     return out
 
 
+def partition_count(n, m):
+    """p(n, m), the number of partitions of n into exactly m parts, unlisted.
+
+    Taking 1 from every part maps them one to one onto the partitions of
+    n - m into parts of at most m, which the coin-change recurrence counts
+    in O((n - m) min(m, n - m)) steps.
+    """
+    if not 1 <= m <= n:
+        return 0
+    k = n - m
+    ways = [1] + [0] * k
+    for part in range(1, min(m, k) + 1):
+        for j in range(part, k + 1):
+            ways[j] += ways[j - part]
+    return ways[k]
+
+
 def expand_partition(mu):
     """Repeat each part mu_i exactly mu_i times; length is sum(mu)."""
     mu = check_partition(mu)

@@ -47,27 +47,28 @@ mod G has the eigenvalues U_v(beta), so
 
     E(c) = [s^c] det(sum_v s_v M_v) = lc^d(c) Dbar_mu,
 
-and D_mu = E(c) / lc^(d(c) - (n - mu_m)), one exact division.
+and D_mu = E(c) / lc^(d(c) - (n - mu_m)), one exact division: exact_div
+over Z, or sympoly_div by the monomial a_0^k for the generic F.
 _scaled_columns builds the M_v with ring operations only, for int and
 SymPoly coefficients alike.  Two kernels read E(c) off them, chosen by the
 coefficient ring:
 
-* _newton_traces, for integer F (numeric input, denominators cleared
+* _newton_traces, over Z only (numeric input, denominators cleared
   first).  Newton's identities on G give the power sums of beta, hence the
   traces of the products prod_v M_v^(a_v); a second Newton recurrence over
-  the multi-indices a <= c turns those traces into E(c).  The work is about
-  prod_v (c_v + 1) products of an n x n matrix by a vector, polynomial in n.
+  the multi-indices a <= c turns those traces into E(c), dividing by |b|
+  in Z at each step.  The work is about prod_v (c_v + 1) products of an
+  n x n matrix by a vector, polynomial in n.
 * linalg.wedge_dp, for SymPoly F (the generic F, where lc is the variable
   a_0), with the M_v as its sources.  The determinant is multilinear in
   its columns, so E(c) sums det over every way to take column j from some
   M_v, c_v columns from each.  A DP over the counts still to place
   carries the wedge product of the columns taken so far, with up to
   C(n, n/2) row bitmasks per state, and drops the bitmasks that the
-  remaining columns cannot complete.  Over SymPoly it is faster than the
-  Newton kernel, whose recurrence multiplies dense SymPolys: summed over
-  every partition, 0.05 vs 0.29 s at n = 6 and 1.0 vs 7.0 s at n = 7
-  (best of three, 2 CPUs, Python 3.11.7, on a shared host whose runs
-  vary by about 30%).
+  remaining columns cannot complete.  It divides nothing.  Over SymPoly
+  it was measured faster than the Newton recurrence, which multiplies
+  dense SymPolys: summed over every partition, 0.05 vs 0.29 s at n = 6
+  and 1.0 vs 7.0 s at n = 7 (best of three, 2 CPUs, Python 3.11.7).
 """
 
 from array import array
@@ -76,7 +77,7 @@ from itertools import product
 from math import factorial, gcd, prod
 from operator import mul
 
-from .combinat import check_partition, expand_partition, partitions, permutation_count
+from .combinat import check_partition, expand_partition, partition_count, partitions, permutation_count
 from .errors import (
     AmbiguousClassification,
     CapExceeded,
@@ -86,10 +87,15 @@ from .errors import (
 from .linalg import wedge_dp
 from .scalars import clear_denominators, exact_div
 from .subresultants import pseudo_rem, subresultant_chain
-from .sympoly import SymPoly
+from .sympoly import SymPoly, sympoly_div
 from .unipoly import Poly, poly_div
 
-SYMBOLIC_CAP = 6
+# the largest degree of a symbolic dmu or yhz_condition: at n = 7 the
+# slowest command takes about a second, at n = 8 one yhz took 657 s
+SYMBOLIC_CAP = 7
+# the most candidate partitions classify lists: p(n, m) grows without
+# bound in n, p(100, 50) = 204,226
+CANDIDATE_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -226,13 +232,14 @@ def _newton_traces(g, cols, plan):
     return E[-1]
 
 
-def dmu(F, mu, *, symbolic_cap=SYMBOLIC_CAP):
+def dmu(F, mu):
     """D_mu(F), exact; symbolic when F has symbolic coefficients.
 
     Numeric coefficients are normalised to integers by clearing
     denominators first; D_mu is homogeneous of degree 2n - mu_m, so the
     zero/nonzero verdict is unaffected and the reported value is the one
-    for the scaled integer polynomial.
+    for the scaled integer polynomial.  Symbolic F is capped at degree
+    SYMBOLIC_CAP (CapExceeded).
     """
     mu = check_partition(mu)
     if not F:
@@ -243,26 +250,25 @@ def dmu(F, mu, *, symbolic_cap=SYMBOLIC_CAP):
     dim = 2 * n - mu[-1]
     term_count = permutation_count(expand_partition(mu))
     values = sorted(set(mu))
+    # d(c) = n^2 - sum mu_i^2 >= n - mu_m: for m >= 2 it is
+    # sum_{i != j} mu_i mu_j >= 2 mu_m (n - mu_m); for m = 1 both are 0.
+    d_c = n * n - sum(p * p for p in mu)
     symbolic = F.is_symbolic()
     if symbolic:
-        if n > symbolic_cap:
-            raise CapExceeded(f"symbolic dmu capped at degree {symbolic_cap}")
+        if n > SYMBOLIC_CAP:
+            raise CapExceeded(f"symbolic dmu capped at degree {SYMBOLIC_CAP}")
         _, cols = _scaled_columns(F, values)
         wedge = wedge_dp(cols, [v * mu.count(v) for v in values])
         total = wedge.get((1 << n) - 1, 0)
+        if isinstance(total, int):  # no SymPoly entry was taken
+            total = SymPoly.const(n + 1, total)
+        value = sympoly_div(total, F.lead ** (d_c - (n - mu[-1])))
     else:
         ints, _ = clear_denominators(list(F.coeffs))
         F = Poly(ints)
         g, cols = _scaled_columns(F, values)
         total = _newton_traces(g, cols, _power_sum_plan(mu))
-    # d(c) = n^2 - sum mu_i^2 >= n - mu_m: for m >= 2 it is
-    # sum_{i != j} mu_i mu_j >= 2 mu_m (n - mu_m); for m = 1 both are 0.
-    # A zero total skips the division, which keeps an int 0 away from a
-    # SymPoly divisor.
-    d_c = n * n - sum(p * p for p in mu)
-    value = exact_div(total, F.lead ** (d_c - (n - mu[-1]))) if total else total
-    if symbolic and isinstance(value, int):  # normalise into the ring
-        value = SymPoly.const(n + 1, value)
+        value = exact_div(total, F.lead ** (d_c - (n - mu[-1])))
     return DmuResult(mu, "symbolic" if symbolic else "numeric", value, term_count, dim)
 
 
@@ -352,13 +358,16 @@ def classify_report(F):
     """Distinct-root count, multiplicity structure, and per-candidate certificates.
 
     Candidates other than the structure read 0 by the paper's theorem;
-    see the module docstring.
+    see the module docstring.  They are counted before they are listed,
+    and more than CANDIDATE_CAP of them raise CapExceeded.
     """
     if not F:
         raise ZeroPolynomial("cannot classify the zero polynomial")
     n = F.degree
     report = psd_sequence(F)
     m = report.ndr
+    if (count := partition_count(n, m)) > CANDIDATE_CAP:
+        raise CapExceeded(f"{count} candidate structures for degree {n}, over the cap of {CANDIDATE_CAP}")
     candidates = partitions(n, m)
     if len(candidates) == 1:  # m in {1, n - 1, n}
         return ClassifyReport(n, m, candidates[0], ())

@@ -67,7 +67,7 @@ class RootMismatch(MultdiscError):
 
 
 class CapExceeded(MultdiscError):
-    """Symbolic computation requested beyond the configured degree cap."""
+    """Work requested beyond a fixed cap: symbolic degree or classify candidates."""
 
 
 class UnknownSuite(MultdiscError):

@@ -1,9 +1,10 @@
 """Exact linear algebra over the integer, rational and symbolic rings.
 
 Integer and rational determinants are computed fraction-free (Bareiss
-elimination with exact divisions and first-nonzero pivoting).  Symbolic
-matrices, banded and mostly zero here, would swell under Bareiss, so all
-of them go to one division-free kernel, wedge_dp: a forward DP that takes
+elimination with first-nonzero pivoting, each division a
+scalars.exact_div over Z or Q).  Symbolic matrices never reach Bareiss:
+banded and mostly zero here, they would swell under it, so all of them
+go to one division-free kernel, wedge_dp: a forward DP that takes
 one line per step from one of several sources (one source for det and
 dets_with_last_row, the multiplication matrices M_v for the
 discriminant's D_mu).  It drops every state whose unused columns the

@@ -6,11 +6,14 @@ this module only adds what the rest of the package needs on top: parsing,
 printing, exact division and denominator clearing.  Fractions that reduce
 to whole numbers are normalised back to ``int`` so that integer-only code
 paths (fraction-free elimination in particular) stay in the integer ring.
+
+exact_div is one plain function over int and Fraction, with no registry:
+the symbolic ring divides through sympoly.sympoly_div and polynomials
+through unipoly.poly_div, each called directly.
 """
 
 from decimal import Decimal
 from fractions import Fraction
-from functools import singledispatch
 from math import lcm
 
 from .errors import NonExactDivision, ParseError
@@ -46,40 +49,25 @@ def format_scalar(value):
     return str(Decimal(int(value)))
 
 
-@singledispatch
 def exact_div(a, b):
-    """Divide a by b in their common ring, requiring an exact result.
+    """a / b over Z or Q: two ints must divide evenly, else NonExactDivision.
 
-    Registered for int, Fraction and (in their own modules) the symbolic
-    and polynomial rings.  Raises NonExactDivision when b does not divide
-    a; a non-exact division anywhere in a fraction-free algorithm means
-    the algorithm itself is broken, so this is never caught internally.
+    A non-exact division in a fraction-free algorithm means the algorithm
+    itself is broken, so it is never caught internally.  A Fraction
+    operand divides in Q, normalised.  A zero b raises ZeroDivisionError
+    and any other operand type TypeError.
     """
-    raise TypeError(f"exact_div not supported for {type(a).__name__}")
-
-
-@exact_div.register(int)
-def _exact_div_int(a, b):
-    if isinstance(b, Fraction):
-        return normalize_scalar(a / b)
-    if not isinstance(b, int):
-        raise TypeError(f"cannot divide int by {type(b).__name__}")
-    quot, rem = divmod(a, b)
-    if rem:
-        # sizes, not digits: str(int) refuses values over 4300 digits
-        raise NonExactDivision(
-            f"an int of {a.bit_length()} bits is not divisible by one of {b.bit_length()} bits"
-        )
-    return quot
-
-
-@exact_div.register(Fraction)
-def _exact_div_fraction(a, b):
-    if not isinstance(b, (int, Fraction)):
-        raise TypeError(f"cannot divide Fraction by {type(b).__name__}")
-    if b == 0:
-        raise ZeroDivisionError("exact division by zero")
-    return normalize_scalar(a / b)
+    if isinstance(a, int) and isinstance(b, int):
+        quot, rem = divmod(a, b)
+        if rem:
+            # sizes, not digits: str(int) refuses values over 4300 digits
+            raise NonExactDivision(
+                f"an int of {a.bit_length()} bits is not divisible by one of {b.bit_length()} bits"
+            )
+        return quot
+    if not isinstance(a, (int, Fraction)) or not isinstance(b, (int, Fraction)):
+        raise TypeError(f"exact_div of {type(a).__name__} by {type(b).__name__}")
+    return normalize_scalar(a / b)  # Fraction raises ZeroDivisionError itself
 
 
 def clear_denominators(values):

@@ -14,15 +14,16 @@ the total degree sum(e) in the most significant field, then e_0, ..., e_n
 with e_0 the most significant of them.  Comparing two keys as ints
 compares the total degree first and then the exponents lexicographically
 with a_0 the most significant variable, which is the graded-lex order
-used for canonical printing and for leading terms during exact division.
+used for canonical printing; the largest key holds the total degree.
 
 Every SymPoly has total degree at most FIELD_MAX = 2**WIDTH - 1, so no
 field ever holds more than FIELD_MAX.  The constructor rejects larger
 exponent tuples, and multiplication checks that the two operands' total
 degrees sum to at most FIELD_MAX before it multiplies monomials by adding
 their keys; the sum of two keys then never carries from one field into
-its neighbour.  Division subtracts keys only after checking every field,
-because a borrow across fields would give a valid-looking wrong key.
+its neighbour.  Division is by a monomial only (sympoly_div), and it
+subtracts keys only after checking every field, because a borrow across
+fields would give a valid-looking wrong key.
 
 Sums of products.  sum_of_products(pairs) returns the sum of x * y over
 (x, y) pairs of ints and SymPolys.  It adds every monomial product
@@ -34,8 +35,8 @@ case.  The other callers are linalg's symbolic determinant kernel:
 wedge_dp sums once per state it reaches, and the last step of det and
 dets_with_last_row once per last line.
 
-The public form stays the exponent tuple: the constructor, leading_term
-and repr take or give tuples, and evaluate and degree_in unpack.  str
+The public form stays the exponent tuple: the constructor and repr take
+or give tuples, and evaluate and degree_in unpack.  str
 splits each key into a high half (a_0 .. a_(h-1), h = nvars // 2) and a
 low half of its exponent fields, and builds each distinct half's factor
 text once per call: the terms of one polynomial share few halves, so
@@ -69,20 +70,11 @@ def _unpack(nvars, key):
     return tuple((key >> (WIDTH * i)) & FIELD_MAX for i in range(nvars - 1, -1, -1))
 
 
-def _fields(nvars, key):
-    """(shift, exponent) of every nonzero exponent field of a packed key."""
-    return [(s, k) for s in range(0, WIDTH * nvars, WIDTH) if (k := (key >> s) & FIELD_MAX)]
-
-
 def _factor_text(half, names):
     """Factor text such as a0^2*a3 for the nonzero exponent fields of half."""
     return "*".join(
         name if k == 1 else f"{name}^{k}" for shift, name in names if (k := (half >> shift) & FIELD_MAX)
     )
-
-
-def _divides(fields, key):
-    return all((key >> s) & FIELD_MAX >= k for s, k in fields)
 
 
 class SymPoly:
@@ -204,13 +196,6 @@ class SymPoly:
         shift = WIDTH * self.nvars
         return len({e >> shift for e in self.terms}) <= 1
 
-    def leading_term(self):
-        """(exponents, coefficient) of the graded-lex leading term."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        e = max(self.terms)
-        return _unpack(self.nvars, e), self.terms[e]
-
     def evaluate(self, values):
         """Substitute numeric values (int/Fraction) for a_0..a_n."""
         if len(values) != self.nvars:
@@ -319,60 +304,24 @@ def _common_nvars(nvars, *polys):
 
 
 def sympoly_div(a, b):
-    """Exact multivariate division a / b, raising NonExactDivision otherwise.
+    """a / b for a monomial b (an int is a constant one), exact or NonExactDivision.
 
-    A monomial b (the power of a_0 that symbolic dmu divides by) divides
-    each term on its own.  Otherwise this is standard single-divisor
-    reduction: repeatedly cancel the graded-lex leading term of the
-    remainder against the leading term of b.  When a is an exact multiple
-    the remainder reaches zero; any non-divisible leading term (monomial
-    or integer coefficient) proves it is not.  Both paths check every
-    exponent field before subtracting keys.
+    Each term divides on its own.  Every exponent field of the term must
+    hold at least b's, checked before the keys are subtracted, and the
+    coefficient must be a multiple of b's.  A b of several terms raises
+    ValueError: the one symbolic division, dmu's, is by a power of a_0.
     """
     if isinstance(b, int):
-        if b == 0:
-            raise ZeroDivisionError("exact division by zero")
-        out = {}
-        for e, c in a.terms.items():
-            out[e] = exact_div(c, b)
-        return SymPoly._packed(a.nvars, out)
+        b = SymPoly.const(a.nvars, b)
     if not b:
-        raise ZeroDivisionError("exact division by zero polynomial")
-    if len(b.terms) == 1:
-        # a monomial divides term by term, with no leading-term search
-        ((be, bc),) = b.terms.items()
-        fields = _fields(b.nvars, be)
-        out = {}
-        for e, c in a.terms.items():
-            if not _divides(fields, e):
-                raise NonExactDivision("monomial does not divide a term")
-            out[e - be] = exact_div(c, bc)
-        return SymPoly._packed(a.nvars, out)
-    be = max(b.terms)
-    bc = b.terms[be]
-    fields = _fields(b.nvars, be)
-    rem = dict(a.terms)
-    quot = {}
-    while rem:
-        re = max(rem)
-        rc = rem[re]
-        if not _divides(fields, re):
-            raise NonExactDivision("leading monomial not divisible")
-        qc, leftover = divmod(rc, bc)
-        if leftover:
-            raise NonExactDivision("leading coefficient not divisible")
-        qe = re - be
-        quot[qe] = qc
-        # b's leading term has its largest total degree, so qe + e never
-        # exceeds the degree of re and no field carries
-        for e, c in b.terms.items():
-            key = qe + e
-            s = rem.get(key, 0) - qc * c
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return SymPoly._packed(a.nvars, quot)
-
-
-exact_div.register(SymPoly, sympoly_div)
+        raise ZeroDivisionError("exact division by zero")
+    if len(b.terms) != 1:
+        raise ValueError("sympoly_div divides by a monomial only")
+    ((be, bc),) = b.terms.items()
+    fields = [(s, k) for s in range(0, WIDTH * a.nvars, WIDTH) if (k := (be >> s) & FIELD_MAX)]
+    out = {}
+    for e, c in a.terms.items():
+        if any((e >> s) & FIELD_MAX < k for s, k in fields):
+            raise NonExactDivision("monomial does not divide a term")
+        out[e - be] = exact_div(c, bc)
+    return SymPoly._packed(a.nvars, out)

@@ -5,7 +5,9 @@ ring), and every operation stays exact.  Coefficients are stored in a
 tuple, descending by degree, with no leading zero; the zero polynomial is
 the empty tuple and its degree is the NEG_INF sentinel, which orders below
 every integer but refuses arithmetic, so a forgotten zero check fails
-loudly instead of producing nonsense degrees.
+loudly instead of producing nonsense degrees.  The exact divisions,
+poly_div and Poly.exact_div_scalar, take int and Fraction coefficients
+only: Yun's quotients and the subresultant chain run over Z.
 """
 
 from math import comb
@@ -184,9 +186,7 @@ def generic_poly(n):
 
 
 def poly_div(a, b):
-    """Exact division of polynomials, raising NonExactDivision on remainder."""
-    if not isinstance(b, Poly):
-        return a.exact_div_scalar(b)
+    """Exact division of polynomials over Z or Q, raising NonExactDivision on remainder."""
     if not b:
         raise ZeroDivisionError("exact division by the zero polynomial")
     rem = list(a.coeffs)
@@ -197,12 +197,7 @@ def poly_div(a, b):
         quot.append(q)
         for j, c in enumerate(b.coeffs):
             rem[j] = rem[j] - q * c
-        if rem[0]:
-            raise NonExactDivision("polynomial division left a remainder")
-        rem.pop(0)
+        rem.pop(0)  # now 0: exact_div raised unless q * b.lead == rem[0]
     if any(rem):
         raise NonExactDivision("polynomial division left a remainder")
     return Poly(quot)
-
-
-exact_div.register(Poly, poly_div)

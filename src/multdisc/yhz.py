@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .combinat import check_partition
-from .errors import ChainDegenerate, DegreeMismatch
+from .discriminant import SYMBOLIC_CAP
+from .errors import CapExceeded, ChainDegenerate, DegreeMismatch
 from .subresultants import subresultant_det
 
 
@@ -85,6 +86,7 @@ def yhz_condition(F, mu):
     is reported as ChainDegenerate, never skipped.  In numeric mode zero
     chain members simply propagate zeros into the collected values, which
     is exactly what specialising the symbolic chain would produce.
+    Symbolic F is capped at degree SYMBOLIC_CAP (CapExceeded).
     """
     mu = check_partition(mu)
     n = sum(mu)
@@ -93,6 +95,8 @@ def yhz_condition(F, mu):
     if mu[0] < 2:
         raise DegreeMismatch("the chain is undefined for mu_1 < 2")
     symbolic = F.is_symbolic()
+    if symbolic and n > SYMBOLIC_CAP:
+        raise CapExceeded(f"symbolic chain capped at degree {SYMBOLIC_CAP}")
     s = s_sequence(mu)
     chain = [F]
     formal = [n]

@@ -1,14 +1,18 @@
+import hashlib
 import io
 import json
+import random
 import sys
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 
 import multdisc.discriminant as disc
 import multdisc.cli as cli
 from multdisc.cli import EXIT_ANOMALY, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, main
-from multdisc.oracle import RootSpec, poly_from_roots
-from multdisc.scalars import format_scalar
+from multdisc.oracle import RootSpec, poly_from_roots, random_factored, random_instance
+from multdisc.scalars import format_scalar, normalize_scalar
+from multdisc.unipoly import Poly
 
 
 def run(argv):
@@ -107,6 +111,42 @@ def test_classify_batch_file(tmp_path):
     assert len(text.splitlines()) == 2  # one report per line
 
 
+# sha256 over "<exit code>\n<stdout>" of `classify --file` on _pin_batch(),
+# text then json
+CLASSIFY_FILE_STDOUT_SHA256 = "ee9a3cbf816310cf3758c9d9fdec55d6700b55a5da7178db5dc7833834a2fd0a"
+
+
+def _pin_batch():
+    """Seeded classify inputs: integer roots, then products of linear and
+    irreducible quadratic factors, every third one divided by a random
+    denominator, and one input whose certificate passes the int str limit."""
+    rng = random.Random(1307)
+    lines = []
+    for i in range(48):
+        n = rng.randint(4, 10)
+        if i % 2:
+            F, _ = random_factored(rng.randrange(2**32), n, rng.randint(1, 3))
+        else:
+            F = poly_from_roots(random_instance(rng.randrange(2**32), n, rng.randint(1, n)))
+        if i % 3 == 2:
+            den = rng.randint(2, 10**6)
+            F = Poly([normalize_scalar(Fraction(c, den)) for c in F.coeffs])
+        lines.append(",".join(map(format_scalar, F.coeffs)))
+    F = poly_from_roots(RootSpec((7 * 10**899 + 1, -(3 * 10**599 + 2)), (3, 1), 1))
+    lines.append(",".join(map(format_scalar, F.coeffs)))
+    return lines
+
+
+def test_classify_file_stdout_is_pinned(tmp_path):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("\n".join(_pin_batch()) + "\n")
+    digest = hashlib.sha256()
+    for fmt in ("text", "json"):
+        code, text = run(["classify", "--file", str(batch), "--format", fmt])
+        digest.update(f"{code}\n{text}".encode())
+    assert digest.hexdigest() == CLASSIFY_FILE_STDOUT_SHA256
+
+
 def test_dmu_symbolic_output():
     code, text = run(["dmu", "--n", "4", "--mu", "3,1", "--symbolic"])
     assert code == EXIT_OK
@@ -131,11 +171,20 @@ def test_dmu_bad_partition():
     assert code == EXIT_USAGE  # neither --symbolic nor --eval
 
 
-def test_dmu_cap():
-    code, _ = run(["dmu", "--n", "8", "--mu", "7,1", "--symbolic"])
-    assert code == EXIT_USAGE
-    code, _ = run(["dmu", "--n", "7", "--mu", "6,1", "--symbolic", "--symbolic-cap", "7"])
+def test_dmu_cap(capsys):
+    # the symbolic cap is the constant SYMBOLIC_CAP = 7, not an option
+    for command in (["dmu", "--n", "8", "--mu", "7,1", "--symbolic"], ["yhz", "--n", "8", "--mu", "7,1"]):
+        code, text = run(command)
+        assert code == EXIT_USAGE and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: symbolic ") and err.endswith("capped at degree 7\n")
+    code, _ = run(["dmu", "--n", "7", "--mu", "6,1", "--symbolic"])
     assert code == EXIT_OK
+    code, _ = run(["yhz", "--n", "7", "--mu", "6,1"])
+    assert code == EXIT_OK
+    for command in (["dmu", "--n", "7", "--mu", "6,1", "--symbolic"], ["yhz", "--n", "4", "--mu", "3,1"]):
+        code, text = run(command + ["--symbolic-cap", "7"])
+        assert code == EXIT_USAGE and text == ""
 
 
 def test_yhz_symbolic_and_eval():

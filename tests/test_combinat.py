@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from multdisc.combinat import (
     expand_partition,
     multiset_permutations,
+    partition_count,
     partitions,
     permutation_count,
     repetition_constant,
@@ -25,6 +26,17 @@ def test_partitions_examples():
     assert partitions(1500, 1500) == [(1,) * 1500]
     assert partitions(1500, 1499) == [(2,) + (1,) * 1498]
     assert partitions(1500, 1) == [(1500,)]
+
+
+def test_partition_count():
+    for n in range(1, 21):
+        for m in range(1, n + 1):
+            assert partition_count(n, m) == len(partitions(n, m))
+    assert partition_count(3, 4) == partition_count(3, 0) == 0
+    # p(n, n/2) = p(n/2): the candidates of n/2 double roots
+    assert partition_count(90, 45) == 89134
+    assert partition_count(100, 50) == 204226
+    assert partition_count(1500, 1500) == partition_count(1500, 1) == 1
 
 
 def test_partitions_empty_domain():

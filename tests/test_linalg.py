@@ -69,7 +69,7 @@ def test_det_symbolic_both_methods():
     for _ in range(10):
         n = rng.randint(1, 3)
         m = Matrix([[random_sympoly(rng, 3, max_terms=2, max_exp=2) for _ in range(n)] for _ in range(n)])
-        assert _det_wedge(m.rows) == _det_bareiss(m.rows)
+        assert _det_wedge(m.rows) == naive_det(m.rows)
 
 
 def test_det_symbolic_zero_pivot_swap():
@@ -77,11 +77,11 @@ def test_det_symbolic_zero_pivot_swap():
     x = SymPoly.variable(2, 0)
     y = SymPoly.variable(2, 1)
     m = Matrix([[z, x], [y, z]])
-    assert _det_bareiss(m.rows) == -(x * y)
+    assert naive_det(m.rows) == -(x * y)
     assert _det_wedge(m.rows) == -(x * y)
     # an identically zero column makes the determinant zero
     mz = Matrix([[z, x], [z, y]])
-    assert _det_bareiss(mz.rows) == 0
+    assert _det_wedge(mz.rows) == naive_det(mz.rows) == 0
 
 
 def test_permanent_basics():

@@ -50,6 +50,18 @@ def test_exact_div_fractions():
     assert exact_div(Fraction(1, 2), Fraction(1, 4)) == 2
     assert exact_div(3, Fraction(1, 2)) == 6
     assert exact_div(Fraction(5, 3), 5) == Fraction(1, 3)
+    assert isinstance(exact_div(Fraction(3, 2), Fraction(3, 4)), int)  # normalised
+    with pytest.raises(ZeroDivisionError):
+        exact_div(Fraction(1, 2), 0)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(3, Fraction(0))
+
+
+def test_exact_div_rejects_other_types():
+    # one plain function over Z and Q: polynomials divide through their own
+    for a, b in ((1.5, 2), (2, 0.5), ("6", 3), (Fraction(1, 2), 1.0)):
+        with pytest.raises(TypeError):
+            exact_div(a, b)
 
 
 def test_clear_denominators():

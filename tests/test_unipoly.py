@@ -7,9 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multdisc.errors import NonExactDivision
-from multdisc.scalars import exact_div
 from multdisc.sympoly import SymPoly
-from multdisc.unipoly import NEG_INF, Poly, generic_poly, parse_poly
+from multdisc.unipoly import NEG_INF, Poly, generic_poly, parse_poly, poly_div
 
 from helpers import random_poly
 
@@ -91,11 +90,14 @@ def test_arithmetic():
 def test_poly_exact_division():
     p = Poly([1, 0, -1])  # x^2 - 1
     q = Poly([1, -1])
-    assert exact_div(p, q) == Poly([1, 1])
-    assert exact_div(p, Poly([1, 1])) == q
+    assert poly_div(p, q) == Poly([1, 1])
+    assert poly_div(p, Poly([1, 1])) == q
     with pytest.raises(NonExactDivision):
-        exact_div(Poly([1, 0, 1]), q)
-    assert exact_div(Poly([2, 4]), 2) == Poly([1, 2])
+        poly_div(Poly([1, 0, 1]), q)
+    assert Poly([2, 4]).exact_div_scalar(2) == Poly([1, 2])
+    assert Poly([Fraction(1, 2), 3]).exact_div_scalar(Fraction(1, 2)) == Poly([1, 6])
+    with pytest.raises(NonExactDivision):
+        Poly([2, 3]).exact_div_scalar(2)
 
 
 def test_parse_and_format():

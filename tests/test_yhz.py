@@ -4,7 +4,7 @@ import pytest
 
 from multdisc.combinat import partitions
 from multdisc.discriminant import dmu
-from multdisc.errors import DegreeMismatch
+from multdisc.errors import CapExceeded, DegreeMismatch
 from multdisc.oracle import poly_from_roots, random_instance
 from multdisc.sympoly import SymPoly
 from multdisc.unipoly import generic_poly, parse_poly
@@ -125,6 +125,8 @@ def test_condition_guards():
         yhz_condition(generic_poly(4), (1, 1, 1, 1))  # mu_1 < 2
     with pytest.raises(DegreeMismatch):
         yhz_condition(generic_poly(4), (3, 2))
+    with pytest.raises(CapExceeded):
+        yhz_condition(generic_poly(8), (7, 1))
 
 
 def test_numeric_truth_agrees_with_structure_and_discriminant():
