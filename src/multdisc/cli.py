@@ -4,7 +4,11 @@ Subcommands: classify, dmu, yhz, table, verify.  Exact values are printed
 as arbitrary-precision decimal strings, never floats, with no digit limit;
 the --truncate-digits option elides long middles in text output only, JSON
 always carries full values.  Identical (command, inputs, seed) produce
-byte-identical output.
+byte-identical output.  Every command builds one payload and hands it to
+_emit, the only place that chooses between --format json (the payload as
+one JSON line) and the command's text rendering.  classify --file writes
+each report as soon as its line is classified and stops at the first bad
+line, naming it as "line K".
 
 Exit codes: 0 success, 1 usage/parse errors, 2 mathematical anomalies
 (ambiguous classification, degenerate chains, failing verify suites),
@@ -16,6 +20,7 @@ import functools
 import json
 import random
 import sys
+from dataclasses import asdict
 
 from .combinat import parse_partition, partitions
 from .discriminant import classify_report, dmu, dmu_degree
@@ -75,102 +80,85 @@ def _mu_str(mu):
     return "[" + ",".join(map(str, mu)) + "]"
 
 
+def _emit(args, out, payload, render):
+    """Write payload as one JSON line, or in text mode the lines of render(), in one write."""
+    if args.format == "json":
+        out.write(json.dumps(payload) + "\n")
+    else:
+        out.write("".join(line + "\n" for line in render()))
+
+
 def _classify_one(text):
-    poly = _parse_input_poly(text)
-    report = classify_report(poly)
+    report = classify_report(_parse_input_poly(text))
     return {
         "degree": report.degree,
         "ndr": report.ndr,
         "multiplicity": list(report.multiplicity),
-        "certificates": [
-            {"mu": list(mu), "value": format_scalar(value)}
-            for mu, value in report.certificates
-        ],
+        "certificates": [{"mu": list(mu), "value": format_scalar(v)} for mu, v in report.certificates],
     }
 
 
 def cmd_classify(args, out):
     if bool(args.coeffs) == bool(args.file):
         raise ParseError("exactly one of --coeffs or --file is required")
+    digits = args.truncate_digits
     if args.coeffs:
-        lines = [args.coeffs]
-    else:
-        with open(args.file) as handle:
-            lines = [
-                line.strip()
-                for line in handle
-                if line.strip() and not line.lstrip().startswith("#")
-            ]
-    batch = args.file is not None
-    for line in lines:
-        report = _classify_one(line)
-        if args.format == "json":
-            out.write(json.dumps(report) + "\n")
-        elif batch:
-            certs = ", ".join(
-                f"D{_mu_str(c['mu'])}={_truncate(c['value'], args.truncate_digits)}"
-                for c in report["certificates"]
-            )
-            out.write(
-                f"{line} => degree {report['degree']}, ndr {report['ndr']}, "
-                f"multiplicity {_mu_str(report['multiplicity'])}"
-                + (f"; {certs}" if certs else "")
-                + "\n"
-            )
-        else:
-            out.write(f"degree: {report['degree']}\n")
-            out.write(f"ndr: {report['ndr']}\n")
-            out.write(f"multiplicity: {_mu_str(report['multiplicity'])}\n")
-            for cert in report["certificates"]:
-                out.write(
-                    f"certificate D{_mu_str(cert['mu'])} = "
-                    f"{_truncate(cert['value'], args.truncate_digits)}\n"
-                )
+        report = _classify_one(args.coeffs)
+        _emit(args, out, report, lambda: [
+            f"degree: {report['degree']}",
+            f"ndr: {report['ndr']}",
+            f"multiplicity: {_mu_str(report['multiplicity'])}",
+            *(f"certificate D{_mu_str(c['mu'])} = {_truncate(c['value'], digits)}"
+              for c in report["certificates"]),
+        ])
+        return EXIT_OK
+    with open(args.file) as handle:
+        lines = [(k, line.strip()) for k, line in enumerate(handle, 1)
+                 if line.strip() and not line.lstrip().startswith("#")]
+    for k, line in lines:  # each report is written before the next line is read
+        try:
+            report = _classify_one(line)
+        except MultdiscError as exc:
+            raise type(exc)(f"line {k}: {exc}") from exc
+        _emit(args, out, report, lambda: [_batch_line(line, report, digits)])
     return EXIT_OK
+
+
+def _batch_line(line, report, digits):
+    certs = ", ".join(f"D{_mu_str(c['mu'])}={_truncate(c['value'], digits)}"
+                      for c in report["certificates"])
+    return (f"{line} => degree {report['degree']}, ndr {report['ndr']}, "
+            f"multiplicity {_mu_str(report['multiplicity'])}" + (f"; {certs}" if certs else ""))
 
 
 def cmd_dmu(args, out):
     mu = _parse_mu(args.mu, args.n)
     if bool(args.symbolic) == bool(args.eval):
         raise ParseError("exactly one of --symbolic or --eval is required")
+    F = generic_poly(args.n) if args.symbolic else _parse_input_poly(args.eval, args.n)
+    result = dmu(F, mu)
+    value = result.value
+    payload = {
+        "n": args.n,
+        "mu": list(mu),
+        "mode": "symbolic" if args.symbolic else "numeric",
+        "matrix_dim": result.matrix_dim,
+        "term_count": result.term_count,
+    }
     if args.symbolic:
-        result = dmu(generic_poly(args.n), mu)
-        value = result.value
-        payload = {
-            "n": args.n,
-            "mu": list(mu),
-            "mode": "symbolic",
-            "matrix_dim": result.matrix_dim,
-            "term_count": result.term_count,
-            "polynomial": str(value),
-            "total_degree": value.total_degree() if value else 0,
-            "terms": len(value.terms),
-        }
-        if args.format == "json":
-            out.write(json.dumps(payload) + "\n")
-        else:
-            out.write(f"D_mu for mu = {_mu_str(mu)}, n = {args.n} (symbolic)\n")
-            out.write(f"matrix dimension: {payload['matrix_dim']}\n")
-            out.write(f"stack count |S_p|: {payload['term_count']}\n")
-            out.write(f"polynomial: {_truncate(payload['polynomial'], args.truncate_digits)}\n")
-            out.write(f"total degree: {payload['total_degree']}\n")
-            out.write(f"terms: {payload['terms']}\n")
+        payload.update(polynomial=str(value), total_degree=value.total_degree() if value else 0,
+                       terms=len(value.terms))
     else:
-        poly = _parse_input_poly(args.eval, args.n)
-        result = dmu(poly, mu)
-        payload = {
-            "n": args.n,
-            "mu": list(mu),
-            "mode": "numeric",
-            "matrix_dim": result.matrix_dim,
-            "term_count": result.term_count,
-            "value": format_scalar(result.value),
-        }
-        if args.format == "json":
-            out.write(json.dumps(payload) + "\n")
-        else:
-            out.write(f"D_mu for mu = {_mu_str(mu)}, n = {args.n}\n")
-            out.write(f"value: {_truncate(payload['value'], args.truncate_digits)}\n")
+        payload["value"] = format_scalar(value)
+    head = f"D_mu for mu = {_mu_str(mu)}, n = {args.n}"
+    _emit(args, out, payload, lambda: [
+        f"{head} (symbolic)",
+        f"matrix dimension: {payload['matrix_dim']}",
+        f"stack count |S_p|: {payload['term_count']}",
+        f"polynomial: {_truncate(payload['polynomial'], args.truncate_digits)}",
+        f"total degree: {payload['total_degree']}",
+        f"terms: {payload['terms']}",
+    ] if args.symbolic else [head, f"value: {_truncate(payload['value'], args.truncate_digits)}"])
     return EXIT_OK
 
 
@@ -185,47 +173,32 @@ def cmd_yhz(args, out):
         "degree_lower_bound": yhz_degree_lower_bound(args.n, mu[1]) if stated else None,
     }
     if args.eval:
-        poly = _parse_input_poly(args.eval, args.n)
-        cond = yhz_condition(poly, mu)
-        payload.update(
-            {
-                "mode": "numeric",
-                "equation_values": [format_scalar(v) for v in cond.equations],
-                "inequation_value": format_scalar(cond.inequation),
-                "satisfied": cond.is_satisfied(),
-            }
-        )
+        cond = yhz_condition(_parse_input_poly(args.eval, args.n), mu)
+        equations = [format_scalar(v) for v in cond.equations]
+        inequation = format_scalar(cond.inequation)
+        payload.update(mode="numeric", equation_values=equations, inequation_value=inequation,
+                       satisfied=cond.is_satisfied())
+        measured, verdict = [], [f"satisfied: {str(payload['satisfied']).lower()}"]
     else:
         cond = yhz_condition(generic_poly(args.n), mu)
         count, max_deg = measured_size(cond)
-        payload.update(
-            {
-                "mode": "symbolic",
-                "equations": [str(v) for v in cond.equations],
-                "inequation": str(cond.inequation),
-                "measured_count": count,
-                "measured_max_degree": max_deg,
-            }
-        )
-    if args.format == "json":
-        out.write(json.dumps(payload) + "\n")
-        return EXIT_OK
-    out.write(f"repeated-subresultant condition for mu = {_mu_str(mu)}, n = {args.n}\n")
-    out.write(f"closed-form count: {payload['count']}\n")
-    # json.dumps prints an absent closed form as null, as the JSON output does
-    out.write(f"closed-form max degree: {json.dumps(payload['max_degree'])}\n")
-    out.write(f"degree lower bound: {json.dumps(payload['degree_lower_bound'])}\n")
-    if args.eval:
-        for i, v in enumerate(payload["equation_values"]):
-            out.write(f"equation {i}: {_truncate(v, args.truncate_digits)}\n")
-        out.write(f"inequation: {_truncate(payload['inequation_value'], args.truncate_digits)}\n")
-        out.write(f"satisfied: {str(payload['satisfied']).lower()}\n")
-    else:
-        out.write(f"measured count: {payload['measured_count']}\n")
-        out.write(f"measured max degree: {payload['measured_max_degree']}\n")
-        for i, v in enumerate(payload["equations"]):
-            out.write(f"equation {i}: {_truncate(v, args.truncate_digits)}\n")
-        out.write(f"inequation: {_truncate(payload['inequation'], args.truncate_digits)}\n")
+        equations = [str(v) for v in cond.equations]
+        inequation = str(cond.inequation)
+        payload.update(mode="symbolic", equations=equations, inequation=inequation,
+                       measured_count=count, measured_max_degree=max_deg)
+        measured, verdict = [f"measured count: {count}", f"measured max degree: {max_deg}"], []
+    digits = args.truncate_digits
+    _emit(args, out, payload, lambda: [
+        f"repeated-subresultant condition for mu = {_mu_str(mu)}, n = {args.n}",
+        f"closed-form count: {payload['count']}",
+        # json.dumps prints an absent closed form as null, as the JSON output does
+        f"closed-form max degree: {json.dumps(payload['max_degree'])}",
+        f"degree lower bound: {json.dumps(payload['degree_lower_bound'])}",
+        *measured,
+        *(f"equation {i}: {_truncate(v, digits)}" for i, v in enumerate(equations)),
+        f"inequation: {_truncate(inequation, digits)}",
+        *verdict,
+    ])
     return EXIT_OK
 
 
@@ -293,17 +266,17 @@ def cmd_table(args, out):
     columns = ["n", "m", "mu", "num_new", "num_yhz", "d_new", "d_yhz"]
     if rows and "measured_d_new" in rows[0]:
         columns += ["measured_d_new", "measured_num_yhz", "measured_d_yhz", "match"]
-    if args.format == "json":
-        out.write(json.dumps(rows) + "\n")
-    elif args.format == "csv":
-        out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(_csv_cell(row.get(c)) for c in columns) + "\n")
-    else:
+
+    def render():
+        if args.format == "csv":
+            return [",".join(columns), *(",".join(_csv_cell(row.get(c)) for c in columns) for row in rows)]
         widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c) for c in columns}
-        out.write("  ".join(c.ljust(widths[c]) for c in columns) + "\n")
-        for row in rows:
-            out.write("  ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns) + "\n")
+        return [
+            "  ".join(c.ljust(widths[c]) for c in columns),
+            *("  ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns) for row in rows),
+        ]
+
+    _emit(args, out, rows, render)
     return EXIT_OK
 
 
@@ -318,18 +291,10 @@ def cmd_verify(args, out):
     if args.trials < 1:
         raise ParseError(f"--trials must be at least 1, got {args.trials}")
     result = run_suite(args.suite, args.trials, args.seed)
-    if args.format == "json":
-        payload = {
-            "suite": result.suite,
-            "trials": result.trials,
-            "passed": result.passed,
-            "failures": result.failures,
-        }
-        out.write(json.dumps(payload) + "\n")
-    else:
-        out.write(f"suite {result.suite}: {result.passed}/{result.trials} trials passed\n")
-        for failure in result.failures:
-            out.write(f"FAIL {failure}\n")
+    _emit(args, out, asdict(result), lambda: [
+        f"suite {result.suite}: {result.passed}/{result.trials} trials passed",
+        *(f"FAIL {failure}" for failure in result.failures),
+    ])
     return EXIT_OK if result.ok else EXIT_ANOMALY
 
 
@@ -345,7 +310,8 @@ def build_parser():
 
     p = sub.add_parser("classify", help="decide the multiplicity structure of a polynomial")
     p.add_argument("--coeffs", help='descending coefficients, e.g. "1,-1,-3,5,-2"')
-    p.add_argument("--file", help="batch file, one polynomial per line, # comments")
+    p.add_argument("--file", help="batch file, one polynomial per line, # comments; "
+                   "stops at the first bad line, after printing the lines before it")
 
     p = sub.add_parser("dmu", help="the one-polynomial discriminant, symbolic or evaluated")
     p.add_argument("--n", type=int, required=True)

@@ -45,16 +45,13 @@ def pseudo_rem(P, Q):
     dq = Q.degree
     if P.degree < dq:
         raise ValueError("pseudo_rem expects deg P >= deg Q")
-    steps = P.degree - dq + 1
-    lq = Q.lead
-    r = P
-    done = 0
-    while r and r.degree >= dq:
-        r = r.scale(lq) - Q.shift_mul(r.degree - dq).scale(r.lead)
-        done += 1
-    if done < steps and r:
-        r = r.scale(lq ** (steps - done))
-    return r
+    lq, q = Q.lead, Q.coeffs
+    r = P.coeffs
+    for _ in range(P.degree - dq + 1):
+        # r <- lq*r - top*x^(deg r - dq)*Q: the top coefficient cancels and is dropped
+        top = r[0]
+        r = [lq * a - top * b for a, b in zip(r[1:], q[1:])] + [lq * a for a in r[len(q):]]
+    return Poly(r)
 
 
 def subresultant_chain(P, Q):

@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import io
 import json
 import random
+import re
 import sys
 from dataclasses import replace
 from decimal import Decimal
@@ -9,9 +11,12 @@ from fractions import Fraction
 
 import multdisc.discriminant as disc
 import multdisc.cli as cli
+import multdisc.suites as suites
 from multdisc.cli import EXIT_ANOMALY, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, main
+from multdisc.combinat import partitions
 from multdisc.oracle import RootSpec, poly_from_roots, random_factored, random_instance
 from multdisc.scalars import format_scalar, normalize_scalar
+from multdisc.suites import SUITES
 from multdisc.unipoly import Poly
 
 
@@ -109,6 +114,26 @@ def test_classify_batch_file(tmp_path):
     code, text = run(["classify", "--file", str(batch)])
     assert code == EXIT_OK
     assert len(text.splitlines()) == 2  # one report per line
+
+
+def test_classify_file_names_the_bad_line(tmp_path, monkeypatch, capsys):
+    # the batch stops at its first bad line, after printing the lines before it
+    batch = tmp_path / "batch.txt"
+    batch.write_text("1,-2,1\n# c\n0,1\n1,0,-1\n")
+    code, text = run(["classify", "--file", str(batch)])
+    assert code == EXIT_USAGE
+    assert text == "1,-2,1 => degree 2, ndr 1, multiplicity [2]\n"
+    assert capsys.readouterr().err == "error: line 3: leading coefficient is zero: '0,1'\n"
+    # --coeffs has no line to name
+    assert run(["classify", "--coeffs", "0,1"]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "error: leading coefficient is zero: '0,1'\n"
+    # the prefixed error keeps its type, so an anomaly still exits 2
+    real = disc.psd_sequence
+    monkeypatch.setattr(disc, "psd_sequence", lambda F: replace(real(F), ndr=3))
+    batch.write_text("\n1,0,-6,4,9,-12,4\n")  # (x - 1)^4 (x + 2)^2
+    code, text = run(["classify", "--file", str(batch), "--format", "json"])
+    assert code == EXIT_ANOMALY and text == ""
+    assert capsys.readouterr().err.startswith("anomaly: line 2: the psd counts 3 distinct roots")
 
 
 # sha256 over "<exit code>\n<stdout>" of `classify --file` on _pin_batch(),
@@ -295,6 +320,37 @@ def test_verify_json():
     assert payload["failures"] == []
 
 
+def test_verify_failure_lines(monkeypatch):
+    # a failed anchor and failed trials: text names each, and the exit code is 2
+    monkeypatch.setattr(suites, "check_det_per_identity", lambda A, B: False)
+    code, text = run(["verify", "--suite", "lemma2", "--trials", "2"])
+    assert code == EXIT_ANOMALY
+    lines = text.splitlines()
+    assert lines[:2] == ["suite lemma2: 0/3 trials passed", "FAIL symbolic 2x2 instance failed"]
+    assert len(lines) == 4
+    for k, line in enumerate(lines[2:]):
+        assert re.fullmatch(rf"FAIL trial {k}: size [1-5], A=\(\(.*\)\), B=\(\(.*\)\)", line), line
+
+
+def test_verify_failing_trial_json(monkeypatch):
+    # one failing trial of a suite without an anchor
+    real, calls = suites.classify, []
+
+    def wrong_once(F):
+        calls.append(F)
+        return () if len(calls) == 2 else real(F)
+
+    monkeypatch.setattr(suites, "classify", wrong_once)
+    code, text = run(["verify", "--suite", "roundtrip", "--trials", "3", "--format", "json"])
+    assert code == EXIT_ANOMALY
+    payload = json.loads(text)
+    assert {k: payload[k] for k in ("suite", "trials", "passed")} == {
+        "suite": "roundtrip", "trials": 3, "passed": 2,
+    }
+    [failure] = payload["failures"]
+    assert failure.startswith("trial 1: spec=RootSpec(") and failure.endswith(", classified ()")
+
+
 def test_truncate_digits():
     code, text = run([
         "classify", "--coeffs", "1,-1,-3,5,-2", "--truncate-digits", "2",
@@ -359,3 +415,47 @@ def test_one_parser_serves_every_call():
     parser = build_parser()
     assert [run(argv) for argv in calls] == fresh
     assert build_parser() is parser
+
+
+# sha256 over "<exit code>\n<stdout>" of every command in _text_pin_commands(),
+# in order: the text renderings the JSON pins do not reach
+TEXT_STDOUT_SHA256 = "32644feda55111b4357fd3b7bb8c394ed55e1f754fb33f7d4740539f79622df8"
+
+_EVAL_INPUTS = {
+    4: "1,-1,-3,5,-2",
+    5: "3,-7/2,0,12,-5,1/3",
+    6: "1,0,-6,4,9,-12,4",
+}
+
+
+def _text_pin_commands():
+    commands = []
+    for fmt in ("text", "json"):
+        for digits in ([], ["--truncate-digits", "6"]):
+            tail = ["--format", fmt] + digits
+            for n in range(1, 7):
+                for m in range(1, n + 1):
+                    for mu in partitions(n, m):
+                        mu_arg = ["--n", str(n), "--mu", ",".join(map(str, mu))]
+                        if fmt == "text":  # the JSON pin covers symbolic json
+                            commands.append(["dmu", *mu_arg, "--symbolic", *tail])
+                            commands.append(["yhz", *mu_arg, *tail])
+                        if n in _EVAL_INPUTS:
+                            commands.append(["dmu", *mu_arg, "--eval", _EVAL_INPUTS[n], *tail])
+                            commands.append(["yhz", *mu_arg, "--eval", _EVAL_INPUTS[n], *tail])
+            for coeffs in ("1,-1,-3,5,-2", "1,0,-2,0,1", "2,-3/2,1/4", "1,0,-1", "0,1", "1,,2"):
+                commands.append(["classify", "--coeffs", coeffs, *tail])
+        for suite in sorted(SUITES):
+            commands.append(["verify", "--suite", suite, "--trials", "2", "--seed", "3", "--format", fmt])
+    commands.append(["verify", "--suite", "nosuch", "--trials", "2"])
+    commands.append(["dmu", "--n", "4", "--mu", "3,1", "--eval", "1,2,3"])
+    return commands
+
+
+def test_text_stdout_is_pinned():
+    digest = hashlib.sha256()
+    for argv in _text_pin_commands():
+        with contextlib.redirect_stderr(io.StringIO()):
+            code, text = run(argv)
+        digest.update(f"{code}\n{text}".encode())
+    assert digest.hexdigest() == TEXT_STDOUT_SHA256

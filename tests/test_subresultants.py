@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from multdisc.errors import DegreeOutOfRange, ZeroPolynomial
 from multdisc.oracle import RootSpec, poly_from_roots
@@ -10,7 +13,7 @@ from multdisc.subresultants import (
     subresultant_chain,
     subresultant_det,
 )
-from multdisc.unipoly import Poly, generic_poly
+from multdisc.unipoly import Poly, generic_poly, poly_div
 
 from helpers import psd_oracle, random_poly, random_sympoly, subresultant_oracle
 
@@ -21,6 +24,29 @@ def test_pseudo_rem():
     Q = Poly([2, 0])
     assert pseudo_rem(P, Q) == Poly([-4])
     assert not pseudo_rem(Poly([1, 0, 0]), Poly([3, 0]))
+
+
+_COEFF = st.one_of(st.integers(-30, 30), st.fractions(-5, 5, max_denominator=7))
+
+
+@st.composite
+def _prem_operands(draw):
+    nonzero_lead = lambda c: c[0] != 0
+    q = draw(st.lists(_COEFF, min_size=1, max_size=4).filter(nonzero_lead))
+    p = draw(st.lists(_COEFF, min_size=len(q), max_size=len(q) + 4).filter(nonzero_lead))
+    return Poly(p), Poly(q)
+
+
+@given(_prem_operands())
+@example((Poly([1, 0, 0, 0, -1]), Poly([2, 0, 3])))  # zero inner coefficients
+@example((Poly([3, 1, 2]), Poly([-2, 1, 5])))  # deg P = deg Q
+@example((Poly([1, Fraction(1, 2), 0, 4]), Poly([Fraction(-3, 2)])))  # constant Q
+def test_pseudo_rem_is_the_remainder(operands):
+    # lc(Q)^(deg P - deg Q + 1) P - prem(P, Q) is a multiple of Q, and prem is reduced
+    P, Q = operands
+    rem = pseudo_rem(P, Q)
+    assert rem.degree < Q.degree
+    poly_div(P.scale(Q.lead ** (P.degree - Q.degree + 1)) - rem, Q)  # raises on a remainder
 
 
 def test_chain_matches_determinant_definition():
