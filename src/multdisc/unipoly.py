@@ -10,6 +10,7 @@ poly_div and Poly.exact_div_scalar, take int and Fraction coefficients
 only: Yun's quotients and the subresultant chain run over Z.
 """
 
+from fractions import Fraction
 from math import comb
 
 from .errors import DegreeMismatch, NonExactDivision
@@ -186,14 +187,20 @@ def generic_poly(n):
 
 
 def poly_div(a, b):
-    """Exact division of polynomials over Z or Q, raising NonExactDivision on remainder."""
+    """Exact division of polynomials over Z or Q, raising NonExactDivision on remainder.
+
+    The ring is Q as soon as one coefficient of a or b is a Fraction, so
+    an int leading coefficient then divides as a rational, not in Z.
+    """
     if not b:
         raise ZeroDivisionError("exact division by the zero polynomial")
     rem = list(a.coeffs)
     db = len(b.coeffs) - 1
+    # Fraction(l) keeps exact_div in Q; an int l makes int / int divide in Z
+    lead = Fraction(b.lead) if any(isinstance(c, Fraction) for c in a.coeffs + b.coeffs) else b.lead
     quot = []
     while len(rem) - 1 >= db and rem:
-        q = exact_div(rem[0], b.lead)
+        q = exact_div(rem[0], lead)
         quot.append(q)
         for j, c in enumerate(b.coeffs):
             rem[j] = rem[j] - q * c

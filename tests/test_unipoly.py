@@ -100,6 +100,13 @@ def test_poly_exact_division():
         Poly([2, 3]).exact_div_scalar(2)
 
 
+def test_poly_division_over_q_with_int_leads():
+    # 2x^2 - 1/2 = (x - 1/2)(2x + 1): the step -1 / 2 happens between ints but lies in Q
+    assert poly_div(Poly([2, 0, Fraction(-1, 2)]), Poly([2, 1])) == Poly([1, Fraction(-1, 2)])
+    with pytest.raises(NonExactDivision):
+        poly_div(Poly([2, 0, Fraction(1, 2)]), Poly([2, 1]))
+
+
 def test_parse_and_format():
     p = parse_poly("1,-1,-3,5,-2")
     assert p.coeffs == (1, -1, -3, 5, -2)
