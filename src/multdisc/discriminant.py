@@ -57,8 +57,10 @@ coefficient ring:
   first).  Newton's identities on G give the power sums of beta, hence the
   traces of the products prod_v M_v^(a_v); a second Newton recurrence over
   the multi-indices a <= c turns those traces into E(c), dividing by |b|
-  in Z at each step.  The work is about prod_v (c_v + 1) products of an
-  n x n matrix by a vector, polynomial in n.
+  in Z at each step.  The work is prod_v (c_v + 1) products of an n x n
+  matrix by a vector and prod_v (c_v + 1)(c_v + 2)/2 convolution terms,
+  both known from mu before any arithmetic; above NEWTON_CAP terms dmu
+  raises CapExceeded at once.
 * linalg.wedge_dp, for SymPoly F (the generic F, where lc is the variable
   a_0), with the M_v as its sources.  The determinant is multilinear in
   its columns, so E(c) sums det over every way to take column j from some
@@ -71,7 +73,6 @@ coefficient ring:
   and 1.0 vs 7.0 s at n = 7 (best of three, 2 CPUs, Python 3.11.7).
 """
 
-from array import array
 from dataclasses import dataclass
 from itertools import product
 from math import factorial, gcd, prod
@@ -96,6 +97,10 @@ SYMBOLIC_CAP = 7
 # the most candidate partitions classify lists: p(n, m) grows without
 # bound in n, p(100, 50) = 204,226
 CANDIDATE_CAP = 200_000
+# the most convolution terms of the Newton kernel, prod_v (c_v + 1)(c_v + 2)/2:
+# every partition of n <= 21 is under it, the largest (6,5,4,3,2,1) with
+# 1,587,600 terms
+NEWTON_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -170,49 +175,21 @@ def _scaled_columns(F, values):
     return g, cols
 
 
-def _power_sum_plan(mu):
-    """The multi-index table of _newton_traces, which depends on mu only.
-
-    The multi-indices 0 <= a <= c over the distinct parts v, with
-    c_v = v * #{i : mu_i = v}, are numbered in mixed radix with the first
-    part varying fastest, so a' <= a has the number a - a' as well.  For
-    each a > 0, in number order, a row holds: the part k and the number of
-    a - e_k, whose product polynomial times U_k gives a's; the signed
-    multinomial (-1)^(|a|-1) |a|! / prod a_v!; |a|; and the numbers of
-    every 0 <= a' <= a in ascending order.  The box is symmetric under
-    a' -> a - a', so reading it backwards gives the matching a - a'.
-    """
-    values = sorted(set(mu))
-    c = [v * mu.count(v) for v in values]
-    strides = [1]
-    for ck in c[:-1]:
-        strides.append(strides[-1] * (ck + 1))
-    rows = []
-    for digits in product(*(range(ck + 1) for ck in reversed(c))):
-        a = digits[::-1]
-        size = sum(a)
-        if not size:
-            continue
-        k = next(i for i, ak in enumerate(a) if ak)
-        weight = factorial(size) // prod(factorial(ak) for ak in a)
-        box = [0]
-        for ak, stride in zip(a, strides):
-            box = [s + j * stride for s in box for j in range(ak + 1)]
-        box.sort()
-        idx = len(rows) + 1
-        rows.append((k, idx - strides[k], weight if size % 2 else -weight, size, array("i", box)))
-    return tuple(rows)
-
-
-def _newton_traces(g, cols, plan):
+def _newton_traces(g, cols, c):
     """E(c), from the power sums Q_k of the roots beta of G.
 
-    The products prod_v U_v^(a_v) are kept reduced mod G, each from its
-    predecessor times one M_v, so their traces tau(a) over the roots need
-    only Q_0..Q_(n-1).  Newton's identities in the s_v,
-    |b| E(b) = sum over 0 < a <= b of (-1)^(|a|-1) |a|!/prod a_v!
-    E(b - a) tau(a), then give E(c).  The division by |b| is exact_div,
-    so a wrong step raises instead of returning.
+    The multi-indices 0 <= a <= c over the distinct parts are walked in
+    mixed radix with the first part varying fastest, and numbered in that
+    order, so a' <= a has the number a - a' as well.  The product
+    polynomial prod_v U_v^(a_v) is kept reduced mod G, made from that of
+    a - e_k, k the first nonzero part, times one M_v, so its trace tau(a)
+    over the roots needs only Q_0..Q_(n-1).  Newton's identities in the
+    s_v, |b| E(b) = sum over 0 < a <= b of (-1)^(|a|-1) |a|!/prod a_v!
+    E(b - a) tau(a), then give E(c).  The box of the numbers of every
+    a' <= b is built in ascending order, and it is symmetric under
+    a' -> b - a', so reading it backwards gives the matching b - a'.  The
+    division by |b| is exact_div, so a wrong step raises instead of
+    returning.
     """
     n = len(g)
     # Newton: Q_k = -k g_k - sum_(0<i<k) g_i Q_(k-i), with g_i = g[i-1]
@@ -221,12 +198,26 @@ def _newton_traces(g, cols, plan):
         Q.append(-k * g[k - 1] - sum(map(mul, g[: k - 1], Q[:0:-1])))
     # mats[k][i][j]: the y^i coefficient of U_v y^j mod G, v the k-th part
     mats = [list(zip(*mv)) for mv in cols]
+    strides = [1]
+    for ck in c[:-1]:
+        strides.append(strides[-1] * (ck + 1))
     # reduced products, their signed weighted traces and E, in number order
     polys, traces, E = [[1] + [0] * (n - 1)], [0], [1]
-    for k, pred, weight, size, box in plan:
-        p = [sum(map(mul, row, polys[pred])) for row in mats[k]]
+    for digits in product(*(range(ck + 1) for ck in reversed(c))):
+        size = sum(digits)
+        if not size:
+            continue
+        a = digits[::-1]
+        k = next(i for i, ak in enumerate(a) if ak)
+        # a - e_k has the number of a less strides[k]
+        p = [sum(map(mul, row, polys[-strides[k]])) for row in mats[k]]
         polys.append(p)
-        traces.append(weight * sum(map(mul, p, Q)))
+        weight = factorial(size) // prod(map(factorial, a))
+        traces.append((weight if size % 2 else -weight) * sum(map(mul, p, Q)))
+        # every number in box is below stride, so j outermost keeps it ascending
+        box = [0]
+        for ak, stride in zip(a, strides):
+            box = [s + j * stride for j in range(ak + 1) for s in box]
         acc = sum(map(mul, map(traces.__getitem__, box[1:]), map(E.__getitem__, box[-2::-1])))
         E.append(exact_div(acc, size))
     return E[-1]
@@ -239,7 +230,7 @@ def dmu(F, mu):
     denominators first; D_mu is homogeneous of degree 2n - mu_m, so the
     zero/nonzero verdict is unaffected and the reported value is the one
     for the scaled integer polynomial.  Symbolic F is capped at degree
-    SYMBOLIC_CAP (CapExceeded).
+    SYMBOLIC_CAP, numeric F at NEWTON_CAP convolution terms (CapExceeded).
     """
     mu = check_partition(mu)
     if not F:
@@ -250,6 +241,7 @@ def dmu(F, mu):
     dim = 2 * n - mu[-1]
     term_count = permutation_count(expand_partition(mu))
     values = sorted(set(mu))
+    c = [v * mu.count(v) for v in values]
     # d(c) = n^2 - sum mu_i^2 >= n - mu_m: for m >= 2 it is
     # sum_{i != j} mu_i mu_j >= 2 mu_m (n - mu_m); for m = 1 both are 0.
     d_c = n * n - sum(p * p for p in mu)
@@ -258,16 +250,18 @@ def dmu(F, mu):
         if n > SYMBOLIC_CAP:
             raise CapExceeded(f"symbolic dmu capped at degree {SYMBOLIC_CAP}")
         _, cols = _scaled_columns(F, values)
-        wedge = wedge_dp(cols, [v * mu.count(v) for v in values])
+        wedge = wedge_dp(cols, c)
         total = wedge.get((1 << n) - 1, 0)
         if isinstance(total, int):  # no SymPoly entry was taken
             total = SymPoly.const(n + 1, total)
         value = sympoly_div(total, F.lead ** (d_c - (n - mu[-1])))
     else:
+        if (terms := prod((ck + 1) * (ck + 2) // 2 for ck in c)) > NEWTON_CAP:
+            raise CapExceeded(f"dmu of {mu} needs {terms} convolution terms, over the cap of {NEWTON_CAP}")
         ints, _ = clear_denominators(list(F.coeffs))
         F = Poly(ints)
         g, cols = _scaled_columns(F, values)
-        total = _newton_traces(g, cols, _power_sum_plan(mu))
+        total = _newton_traces(g, cols, c)
         value = exact_div(total, F.lead ** (d_c - (n - mu[-1])))
     return DmuResult(mu, "symbolic" if symbolic else "numeric", value, term_count, dim)
 
@@ -364,6 +358,8 @@ def classify_report(F):
     if not F:
         raise ZeroPolynomial("cannot classify the zero polynomial")
     n = F.degree
+    if n < 1:
+        raise DegreeMismatch("cannot classify a constant: it has no roots")
     report = psd_sequence(F)
     m = report.ndr
     if (count := partition_count(n, m)) > CANDIDATE_CAP:

@@ -14,12 +14,14 @@ patterns.
 The order follows the sparsity (W. M. Gentleman and S. C. Johnson,
 "Analysis of algorithms, a case study: determinants of matrices with
 polynomial entries", ACM TOMS 2(3), 1976).  Rows are taken densest first,
-and the sparsest line goes last: det holds out the sparsest row, or
-column when that is sparser (det A = det A^T), and dets_with_last_row
-the lines it varies.  Every state of the last layer must miss a column
-where a last line is nonzero, so a sparse last line prunes the most.  All
-last lines read that one layer, so subresultant_det gets its k + 1
-coefficients for about the cost of one determinant.
+and the lines held out go last: dets_with_last_row holds out the lines it
+varies, and det, which is dets_with_last_row with one last line, holds
+out the matrix's last row.  Every state of the last layer must miss a
+column where a last line is nonzero, so a sparse last line prunes the
+most.  All last lines read that one layer, so subresultant_det gets its
+k + 1 coefficients for about the cost of one determinant.
+dets_with_last_row is the one place that chooses Bareiss or wedge_dp by
+the coefficient ring.
 
 Permanents use Ryser's inclusion-exclusion with a Gray-code walk and are
 capped, since the permanent only ever backs small oracle computations.
@@ -63,9 +65,6 @@ class Matrix:
     def is_square(self):
         return self.nrows == self.ncols
 
-    def is_symbolic(self):
-        return any(isinstance(e, SymPoly) for r in self.rows for e in r)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -91,22 +90,39 @@ def det(m):
         raise NotSquare(f"determinant of a {m.nrows}x{m.ncols} matrix")
     if m.nrows == 0:
         return 1
-    if m.is_symbolic():
-        return _det_wedge(m.rows)
-    return _det_bareiss(m.rows)
+    return dets_with_last_row(m.rows[:-1], m.rows[-1:])[0]
 
 
 def dets_with_last_row(rows, lasts):
     """det of the square matrix rows + [last], for each line in lasts.
 
+    Integer and rational entries go to Bareiss, one matrix per last line.
     On symbolic entries all of them read one wedge_dp layer on the shared
-    rows, so together they cost about one determinant; integer entries
-    keep Bareiss, one matrix per last row.
+    rows, so together they cost about one determinant.  The n - 1 shared
+    rows are taken densest first, and the sign of that permutation is
+    applied at the end.  The union pattern of the lasts goes in as one
+    more line, which wedge_dp reads for pruning but never takes, so the
+    layer keeps only masks that miss one column where some last is nonzero.
     """
     rows, lasts = list(rows), list(lasts)
-    if any(isinstance(e, SymPoly) for line in rows + lasts for e in line):
-        return _wedge_last(rows, lasts)
-    return [det(Matrix(rows + [last])) for last in lasts]
+    if not any(isinstance(e, SymPoly) for line in rows + lasts for e in line):
+        return [_det_bareiss(rows + [last]) for last in lasts]
+    n = len(rows) + 1
+    order = sorted(range(n - 1), key=lambda i: _weight(rows[i]), reverse=True)
+    odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2
+    union = [any(last[i] for last in lasts) for i in range(n)]
+    layer = wedge_dp([[rows[i] for i in order] + [union]], [n - 1])
+    full = (1 << n) - 1
+    values = []
+    for last in lasts:
+        pairs = []
+        for mask, coef in layer.items():
+            i = (full ^ mask).bit_length() - 1
+            # e_mask ^ e_i = (-1)^(n - 1 - i) e_full
+            if last[i]:
+                pairs.append((coef, -last[i] if (n - 1 - i + odd) % 2 else last[i]))
+        values.append(sum_of_products(pairs))
+    return values
 
 
 def _det_bareiss(rows):
@@ -139,46 +155,6 @@ def _weight(line):
     """(nonzero entries, SymPoly terms) of a line; an int counts as one term."""
     nonzero = [e for e in line if e]
     return len(nonzero), sum(len(e.terms) if isinstance(e, SymPoly) else 1 for e in nonzero)
-
-
-def _det_wedge(rows):
-    """det by wedge_dp, with the sparsest line last.
-
-    det A = det A^T, so the rows are swapped for the columns when a column
-    is sparser than every row; moving the sparsest line from position t
-    to the bottom passes n - 1 - t lines.
-    """
-    lines = min(list(rows), list(zip(*rows)), key=lambda ls: min(map(_weight, ls)))
-    t = min(range(len(lines)), key=lambda i: _weight(lines[i]))
-    (value,) = _wedge_last(lines[:t] + lines[t + 1:], [lines[t]])
-    return -value if (len(lines) - 1 - t) % 2 else value
-
-
-def _wedge_last(rows, lasts):
-    """det of rows + [last] for each last, from one wedge_dp layer.
-
-    The n - 1 shared rows are taken densest first, and the sign of that
-    permutation is applied at the end.  The union pattern of the lasts
-    goes in as one more line, which wedge_dp reads for pruning but never
-    takes, so the layer keeps only masks that miss one column where some
-    last is nonzero.
-    """
-    n = len(rows) + 1
-    order = sorted(range(n - 1), key=lambda i: _weight(rows[i]), reverse=True)
-    odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2
-    union = [any(last[i] for last in lasts) for i in range(n)]
-    layer = wedge_dp([[rows[i] for i in order] + [union]], [n - 1])
-    full = (1 << n) - 1
-    values = []
-    for last in lasts:
-        pairs = []
-        for mask, coef in layer.items():
-            i = (full ^ mask).bit_length() - 1
-            # e_mask ^ e_i = (-1)^(n - 1 - i) e_full
-            if last[i]:
-                pairs.append((coef, -last[i] if (n - 1 - i + odd) % 2 else last[i]))
-        values.append(sum_of_products(pairs))
-    return values
 
 
 def wedge_dp(sources, counts):

@@ -12,6 +12,7 @@ the symbolic ring divides through sympoly.sympoly_div and polynomials
 through unipoly.poly_div, each called directly.
 """
 
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
@@ -27,7 +28,11 @@ def normalize_scalar(value):
 
 
 def parse_scalar(text):
-    """Parse an integer or a ``p/q`` rational from text."""
+    """Parse an integer or a ``p/q`` rational from text.
+
+    Python's limit on int-from-str conversion bounds each part; a part
+    over it is named by its digit count, and only 20 characters are quoted.
+    """
     text = text.strip()
     try:
         if "/" in text:
@@ -35,6 +40,12 @@ def parse_scalar(text):
             return normalize_scalar(Fraction(int(num), int(den)))
         return int(text)
     except (ValueError, ZeroDivisionError) as exc:
+        limit = sys.get_int_max_str_digits()
+        digits = max(sum(ch.isdigit() for ch in part) for part in text.split("/"))
+        if limit and digits > limit:
+            raise ParseError(
+                f"a coefficient of {digits} digits is over the {limit}-digit limit: {text[:20]!r}..."
+            ) from exc
         raise ParseError(f"not an exact scalar: {text!r}") from exc
 
 

@@ -32,8 +32,8 @@ so a dot product builds no SymPoly per product and never copies a partial
 sum, as a chain of __mul__ and __add__ would.  The product-degree guard
 and the variable-count check run once per pair.  __mul__ is the one-pair
 case.  The other callers are linalg's symbolic determinant kernel:
-wedge_dp sums once per state it reaches, and the last step of det and
-dets_with_last_row once per last line.
+wedge_dp sums once per state it reaches, and the last step of
+dets_with_last_row, which det runs with one last line, once per last line.
 
 The public form stays the exponent tuple: the constructor and repr take
 or give tuples, and evaluate and degree_in unpack.  str

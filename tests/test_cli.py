@@ -88,6 +88,28 @@ def test_classify_empty_field():
         assert text == ""
 
 
+def test_classify_constant(tmp_path, capsys):
+    # the error names the input's problem, not an internal step
+    assert run(["classify", "--coeffs", "7"]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "error: cannot classify a constant: it has no roots\n"
+    batch = tmp_path / "batch.txt"
+    batch.write_text("1,0,-1\n7\n")
+    code, text = run(["classify", "--file", str(batch)])
+    assert code == EXIT_USAGE
+    assert text == "1,0,-1 => degree 2, ndr 2, multiplicity [1,1]\n"
+    assert capsys.readouterr().err == "error: line 2: cannot classify a constant: it has no roots\n"
+
+
+def test_classify_over_limit_coefficient(capsys):
+    # the field is named by its digit count and a short prefix, not echoed in full
+    limit = sys.get_int_max_str_digits()
+    for field in ("7" * (limit + 1), "1/" + "7" * (limit + 1)):
+        assert run(["classify", "--coeffs", "1," + field]) == (EXIT_USAGE, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: a coefficient of {limit + 1} digits is over the {limit}-digit limit: ")
+        assert len(err) < 120
+
+
 def test_classify_requires_one_source(tmp_path):
     code, _ = run(["classify"])
     assert code == EXIT_USAGE
@@ -187,6 +209,32 @@ def test_dmu_eval():
     code, text = run(["dmu", "--n", "4", "--mu", "3,1", "--eval", "1,0,-2,0,1", "--format", "json"])
     assert code == EXIT_OK
     assert json.loads(text)["value"] == "0"
+
+
+# sha256 over "<exit code>\n<stdout>" of `dmu --eval --format json` on one
+# seeded 3-digit input per n, for every partition of n = 9..12: the Newton
+# kernel past the n <= 8 of the cross-check against wedge_dp
+DMU_EVAL_N9_12_SHA256 = "62325f70e6a37347bcf1da87a91e049a20ab82f57b36fd688f4b6c952fc36062"
+
+
+def test_dmu_eval_n9_to_12_is_pinned():
+    rng = random.Random(912)
+    digest = hashlib.sha256()
+    for n in range(9, 13):
+        coeffs = ",".join(str(rng.choice((1, -1)) * rng.randint(100, 999)) for _ in range(n + 1))
+        for m in range(1, n + 1):
+            for mu in partitions(n, m):
+                code, text = run(["dmu", "--n", str(n), "--mu", ",".join(map(str, mu)), f"--eval={coeffs}", "--format", "json"])
+                assert code == EXIT_OK
+                digest.update(f"{code}\n{text}".encode())
+    assert digest.hexdigest() == DMU_EVAL_N9_12_SHA256
+
+
+def test_dmu_eval_over_the_newton_cap(capsys):
+    coeffs = ",".join(["1"] + ["0"] * 21 + ["-1"])
+    code, text = run(["dmu", "--n", "22", "--mu", "6,5,4,3,2,1,1", "--eval", coeffs])
+    assert code == EXIT_USAGE and text == ""
+    assert capsys.readouterr().err.startswith("error: dmu of (6, 5, 4, 3, 2, 1, 1) needs 3175200 convolution terms")
 
 
 def test_dmu_bad_partition():

@@ -143,9 +143,9 @@ def _cross_check_inputs(rng, n):
 def _both_kernels(F, nu):
     """E(c) from linalg.wedge_dp and from the Newton kernel, on the same columns."""
     values = sorted(set(nu))
+    c = [v * nu.count(v) for v in values]
     g, cols = disc._scaled_columns(F, values)
-    wedge = wedge_dp(cols, [v * nu.count(v) for v in values]).get((1 << F.degree) - 1, 0)
-    return wedge, disc._newton_traces(g, cols, disc._power_sum_plan(nu))
+    return wedge_dp(cols, c).get((1 << F.degree) - 1, 0), disc._newton_traces(g, cols, c)
 
 
 def test_wedge_dp_matches_newton_traces():
@@ -394,6 +394,21 @@ def test_seeded_suites_pass(suite):
     result = run_suite(suite, 30, 11)
     assert result.ok, result.failures[:3]
     assert result.passed == result.trials == 30
+
+
+def test_dmu_newton_cap(monkeypatch):
+    # the convolution terms prod_v (c_v + 1)(c_v + 2)/2 are counted from mu
+    # before any arithmetic: (6,5,4,3,2,1,1) needs 3,175,200, over the cap
+    def reached(F, values):
+        raise RuntimeError("columns built")
+
+    monkeypatch.setattr(disc, "_scaled_columns", reached)
+    F = Poly([1] + [0] * 21 + [-1])
+    with pytest.raises(CapExceeded, match="needs 3175200 convolution terms, over the cap of 2000000"):
+        dmu(F, (6, 5, 4, 3, 2, 1, 1))
+    # the largest partition of n = 21, 1,587,600 terms, is admitted
+    with pytest.raises(RuntimeError, match="columns built"):
+        dmu(Poly([1] + [0] * 20 + [-1]), (6, 5, 4, 3, 2, 1))
 
 
 def test_classify_candidate_cap():

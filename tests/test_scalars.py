@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,11 @@ def test_parse_scalar():
         parse_scalar("x")
     with pytest.raises(ParseError):
         parse_scalar("1/0")
+    # Python's int-from-str limit bounds each part, and is named as such
+    limit = sys.get_int_max_str_digits()
+    assert parse_scalar("7" * limit) == int("7" * limit)
+    with pytest.raises(ParseError, match=f"of {limit + 1} digits is over the {limit}-digit limit"):
+        parse_scalar("-1/" + "7" * (limit + 1))
 
 
 def test_format_round_trip():
