@@ -35,25 +35,35 @@ def parse_partition(text):
 
 
 def partitions(n, m):
-    """All partitions of n into exactly m parts, in descending lex order."""
+    """All partitions of n into exactly m parts, in descending lex order.
+
+    One list is stepped in place, so m is not bounded by the recursion
+    limit: classify asks for partitions(n, n) at any degree.  Each step
+    lowers the rightmost part that the parts after it can still follow,
+    then refills those parts greedily: as many copies of the lowered part
+    as fit, one remainder part, then ones.
+    """
     if m < 1 or m > n:
         raise EmptyDomain(f"no partitions of {n} into {m} parts")
-    out = []
-    # depth-first with an explicit stack, so m is not bounded by the
-    # recursion limit: classify asks for partitions(n, n) at any degree
-    stack = [(n, m, n, ())]
-    while stack:
-        remaining, parts_left, cap, prefix = stack.pop()
-        if parts_left == 1:
-            if remaining <= cap:
-                out.append(prefix + (remaining,))
-            continue
-        # first part large enough that the rest can still be filled
-        lo = -(-remaining // parts_left)  # ceil
-        # pushed ascending, so the largest first part is expanded first
-        for first in range(lo, min(cap, remaining - parts_left + 1) + 1):
-            stack.append((remaining - first, parts_left - 1, first, prefix + (first,)))
-    return out
+    a = [n - m + 1] + [1] * (m - 1)
+    out = [tuple(a)]
+    while True:
+        # find the rightmost i whose part, less one, still caps the k parts from i
+        s, k, i = a[-1], 1, m - 2
+        while i >= 0:
+            s += a[i]
+            k += 1
+            if (a[i] - 1) * k >= s:
+                break
+            i -= 1
+        else:
+            return out
+        v = a[i] - 1
+        rest = k - 1
+        # above one per part, the tail holds s - v - rest; each v takes v - 1 of it
+        full, extra = divmod(s - v - rest, v - 1) if v > 1 else (0, 0)
+        a[i:] = [v] * (full + 1) + ([extra + 1] + [1] * (rest - full - 1) if full < rest else [])
+        out.append(tuple(a))
 
 
 def partition_count(n, m):

@@ -2,7 +2,8 @@
 
 Integer and rational determinants are computed fraction-free (Bareiss
 elimination with first-nonzero pivoting, each division a
-scalars.exact_div over Z or Q).  Symbolic matrices never reach Bareiss:
+scalars.exact_div over Z or Q, the ring decided once per matrix by exact
+type as in scalars).  Symbolic matrices never reach Bareiss:
 banded and mostly zero here, they would swell under it, so all of them
 go to one division-free kernel, wedge_dp: a forward DP that takes
 one line per step from one of several sources (one source for det and
@@ -27,13 +28,15 @@ Permanents use Ryser's inclusion-exclusion with a Gray-code walk and are
 capped, since the permanent only ever backs small oracle computations.
 """
 
+from fractions import Fraction
+
 from .errors import (
     DegreeTooHigh,
     DimensionMismatch,
     DimensionTooLarge,
     NotSquare,
 )
-from .scalars import exact_div
+from .scalars import exact_div, in_z
 from .sympoly import SymPoly, sum_of_products
 
 PERMANENT_CAP = 14
@@ -128,8 +131,10 @@ def dets_with_last_row(rows, lasts):
 def _det_bareiss(rows):
     n = len(rows)
     a = [list(r) for r in rows]
+    # over Q a Fraction divisor keeps exact_div from dividing two int minors in Z
+    over_z = all(map(in_z, a))
     sign = 1
-    prev = 1
+    prev = 1 if over_z else Fraction(1)
     for k in range(n - 1):
         if not a[k][k]:
             for r in range(k + 1, n):
@@ -147,7 +152,7 @@ def _det_bareiss(rows):
             for j in range(k + 1, n):
                 row_i[j] = exact_div(piv * row_i[j] - aik * row_k[j], prev)
             row_i[k] = 0
-        prev = piv
+        prev = piv if over_z else Fraction(piv)
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 
 

@@ -10,6 +10,13 @@ paths (fraction-free elimination in particular) stay in the integer ring.
 exact_div is one plain function over int and Fraction, with no registry:
 the symbolic ring divides through sympoly.sympoly_div and polynomials
 through unipoly.poly_div, each called directly.
+
+The ring of a batch of values is decided once, by exact type (in_z):
+when every value has ``type(v) is int`` it is Z, and anything else takes
+the Q handling.  clear_denominators, format_scalar, unipoly.poly_div and
+linalg's Bareiss determinant apply that rule instead of asking
+``isinstance(v, Fraction)`` of each value, which dispatches through
+``ABCMeta.__instancecheck__`` every time.
 """
 
 import sys
@@ -18,6 +25,11 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import NonExactDivision, ParseError
+
+
+def in_z(values):
+    """True when every value is exactly an int: the ring is Z, else Q."""
+    return set(map(type, values)) <= {int}
 
 
 def normalize_scalar(value):
@@ -31,7 +43,8 @@ def parse_scalar(text):
     """Parse an integer or a ``p/q`` rational from text.
 
     Python's limit on int-from-str conversion bounds each part; a part
-    over it is named by its digit count, and only 20 characters are quoted.
+    over it is named by its digit count.  An error quotes at most 20
+    characters of the field, and names the length of a longer one.
     """
     text = text.strip()
     try:
@@ -46,6 +59,8 @@ def parse_scalar(text):
             raise ParseError(
                 f"a coefficient of {digits} digits is over the {limit}-digit limit: {text[:20]!r}..."
             ) from exc
+        if len(text) > 20:
+            raise ParseError(f"not an exact scalar: {text[:20]!r}... ({len(text)} characters)") from exc
         raise ParseError(f"not an exact scalar: {text!r}") from exc
 
 
@@ -55,7 +70,7 @@ def format_scalar(value):
     str(int) refuses values above sys.get_int_max_str_digits() digits;
     Decimal converts an int without going through text, so it has no limit.
     """
-    if isinstance(value, Fraction) and value.denominator != 1:
+    if type(value) is not int and value.denominator != 1:
         return f"{format_scalar(value.numerator)}/{format_scalar(value.denominator)}"
     return str(Decimal(int(value)))
 
@@ -87,5 +102,7 @@ def clear_denominators(values):
     Returns (ints, factor) with ints[i] == factor * values[i] and factor
     the positive lcm of the denominators.
     """
-    factor = lcm(*(v.denominator if isinstance(v, Fraction) else 1 for v in values)) if values else 1
+    if in_z(values):
+        return list(values), 1
+    factor = lcm(*(v.denominator for v in values))
     return [int(v * factor) for v in values], factor

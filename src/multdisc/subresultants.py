@@ -16,7 +16,10 @@ Two routes compute the same chain:
 
 * subresultant_chain: the classical subresultant remainder sequence,
   pseudo-divisions and exact scalar divisions only.  Fast; the production
-  path for numeric polynomials.
+  path for numeric polynomials.  One kernel serves Z and Q: pseudo_rem and
+  the sequence run on plain coefficient lists, each scalar division goes
+  through scalars.exact_div (which raises on a remainder over Z), and only
+  the returned chain is wrapped in Poly.
 * subresultant_det: the determinant definition, one small determinant per
   coefficient.  The k + 1 matrices share all columns but one, so on
   symbolic input the coefficients read one shared wedge_dp layer
@@ -35,23 +38,32 @@ resultant is det of the Sylvester matrix, S_0's full square matrix.
 
 from .errors import DegreeOutOfRange, ZeroPolynomial
 from .linalg import Matrix, det, dets_with_last_row
+from .scalars import exact_div
 from .unipoly import Poly
+
+
+def _prem(r, q):
+    """prem on descending coefficient lists, len(r) >= len(q) >= 1; no leading zero out."""
+    lq, tail, nq = q[0], q[1:], len(q)
+    if nq == 1:  # a constant divides everything
+        return []
+    for _ in range(len(r) - nq + 1):
+        # r <- lq*r - top*x^(deg r - deg q)*q: the top coefficient cancels and is dropped
+        top = r[0]
+        r = [lq * a - top * b for a, b in zip(r[1:], tail)] + [lq * a for a in r[nq:]]
+    i = 0
+    while i < len(r) and not r[i]:
+        i += 1
+    return r[i:]
 
 
 def pseudo_rem(P, Q):
     """prem(P, Q): remainder of lc(Q)^(deg P - deg Q + 1) * P under division by Q."""
     if not Q:
         raise ZeroDivisionError("pseudo-division by the zero polynomial")
-    dq = Q.degree
-    if P.degree < dq:
+    if P.degree < Q.degree:
         raise ValueError("pseudo_rem expects deg P >= deg Q")
-    lq, q = Q.lead, Q.coeffs
-    r = P.coeffs
-    for _ in range(P.degree - dq + 1):
-        # r <- lq*r - top*x^(deg r - dq)*Q: the top coefficient cancels and is dropped
-        top = r[0]
-        r = [lq * a - top * b for a, b in zip(r[1:], q[1:])] + [lq * a for a in r[len(q):]]
-    return Poly(r)
+    return Poly(_prem(P.coeffs, Q.coeffs))
 
 
 def subresultant_chain(P, Q):
@@ -60,37 +72,40 @@ def subresultant_chain(P, Q):
     Classical subresultant remainder sequence: each block top S_(d-1) is a
     pseudo-remainder divided by a known exact scalar, each defective block
     bottom S_e is a scalar multiple of the top; skipped indices are zero.
+    The sequence runs on coefficient lists, over Z or Q alike, and every
+    scalar division is exact_div, so a non-exact one over Z raises.
     """
     if not P or not Q:
         raise ZeroPolynomial("subresultant chain of the zero polynomial")
     p, q = P.degree, Q.degree
     if p <= q:
         raise ValueError("subresultant chain expects deg P > deg Q")
-    chain = [Poly() for _ in range(q + 1)]
-    chain[q] = Q.scale(Q.lead ** (p - q - 1)) if p - q - 1 else Q
-    s = Q.lead ** (p - q)
-    A = Q
-    B = pseudo_rem(P, Q)
+    A = list(Q.coeffs)
+    chain = [()] * (q + 1)
+    chain[q] = [c * A[0] ** (p - q - 1) for c in A] if p - q - 1 else A
+    s = A[0] ** (p - q)
+    B = _prem(P.coeffs, A)
     if (p - q) % 2 == 0:  # prem(P, -Q)
-        B = -B
+        B = [-c for c in B]
     while B:
-        d = A.degree
-        e = B.degree
+        d = len(A) - 1
+        e = len(B) - 1
         chain[d - 1] = B
         if e < d - 1:
-            C = B.scale(B.lead ** (d - 1 - e)).exact_div_scalar(s ** (d - 1 - e))
-            chain[e] = C
+            scale, div = B[0] ** (d - 1 - e), s ** (d - 1 - e)
+            C = chain[e] = [exact_div(c * scale, div) for c in B]
         else:
             C = B
         if e == 0:
             break
-        nxt = pseudo_rem(A, B)
+        nxt = _prem(A, B)
+        div = s ** (d - e) * A[0]
         if (d - e) % 2 == 0:  # prem(A, -B)
-            nxt = -nxt
-        B = nxt.exact_div_scalar(s ** (d - e) * A.lead)
+            div = -div
+        B = [exact_div(c, div) for c in nxt]
         A = C
-        s = A.lead
-    return chain
+        s = A[0]
+    return [Poly(S) for S in chain]
 
 
 def _formal_degrees(P, Q, k, p, q):

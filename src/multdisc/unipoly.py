@@ -7,14 +7,17 @@ the empty tuple and its degree is the NEG_INF sentinel, which orders below
 every integer but refuses arithmetic, so a forgotten zero check fails
 loudly instead of producing nonsense degrees.  The exact divisions,
 poly_div and Poly.exact_div_scalar, take int and Fraction coefficients
-only: Yun's quotients and the subresultant chain run over Z.
+only.  poly_div decides its ring once per call, by exact type (see
+scalars): Z when every coefficient is an int, else Q.  Yun's quotients
+run over Z; the subresultant chain works on plain coefficient lists
+(subresultants) and wraps in Poly only the chain it returns.
 """
 
 from fractions import Fraction
 from math import comb
 
 from .errors import DegreeMismatch, NonExactDivision
-from .scalars import exact_div, format_scalar, parse_scalar
+from .scalars import exact_div, format_scalar, in_z, parse_scalar
 from .sympoly import SymPoly
 
 
@@ -46,11 +49,13 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
-        i = 0
-        while i < len(coeffs) and not coeffs[i]:
-            i += 1
-        self.coeffs = tuple(coeffs[i:])
+        coeffs = tuple(coeffs)
+        if coeffs and not coeffs[0]:
+            i = 1
+            while i < len(coeffs) and not coeffs[i]:
+                i += 1
+            coeffs = coeffs[i:]
+        self.coeffs = coeffs
 
     @property
     def degree(self):
@@ -189,22 +194,30 @@ def generic_poly(n):
 def poly_div(a, b):
     """Exact division of polynomials over Z or Q, raising NonExactDivision on remainder.
 
-    The ring is Q as soon as one coefficient of a or b is a Fraction, so
-    an int leading coefficient then divides as a rational, not in Z.
+    The ring is decided once: Z when every coefficient of a and b is an
+    int, else Q, so an int leading coefficient then divides as a rational.
     """
     if not b:
         raise ZeroDivisionError("exact division by the zero polynomial")
+    bc = b.coeffs
+    lead, tail, nb = bc[0], bc[1:], len(bc)
+    over_z = in_z(a.coeffs) and in_z(bc)
+    if not over_z:
+        lead = Fraction(lead)  # exact_div then divides in Q, not int / int in Z
     rem = list(a.coeffs)
-    db = len(b.coeffs) - 1
-    # Fraction(l) keeps exact_div in Q; an int l makes int / int divide in Z
-    lead = Fraction(b.lead) if any(isinstance(c, Fraction) for c in a.coeffs + b.coeffs) else b.lead
     quot = []
-    while len(rem) - 1 >= db and rem:
-        q = exact_div(rem[0], lead)
+    for i in range(len(rem) - nb + 1):
+        if over_z:
+            q, r = divmod(rem[i], lead)
+            if r:
+                raise NonExactDivision("polynomial division left a remainder")
+        else:
+            q = exact_div(rem[i], lead)
         quot.append(q)
-        for j, c in enumerate(b.coeffs):
-            rem[j] = rem[j] - q * c
-        rem.pop(0)  # now 0: exact_div raised unless q * b.lead == rem[0]
-    if any(rem):
+        # rem[i] is now q * lead - q * lead = 0
+        if q:
+            for j, c in enumerate(tail, i + 1):
+                rem[j] -= q * c
+    if any(rem[len(quot) :]):
         raise NonExactDivision("polynomial division left a remainder")
     return Poly(quot)

@@ -110,6 +110,14 @@ def test_classify_over_limit_coefficient(capsys):
         assert len(err) < 120
 
 
+def test_classify_long_malformed_field(capsys):
+    # a malformed field is quoted by a 20-character prefix and its length
+    assert run(["classify", "--coeffs", "1," + "x" * 5000]) == (EXIT_USAGE, "")
+    err = capsys.readouterr().err
+    assert err == "error: not an exact scalar: 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)\n"
+    assert len(err.encode()) < 120
+
+
 def test_classify_requires_one_source(tmp_path):
     code, _ = run(["classify"])
     assert code == EXIT_USAGE

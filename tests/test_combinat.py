@@ -47,12 +47,12 @@ def test_partitions_empty_domain():
 
 
 def test_partitions_against_brute_force():
-    for n in range(1, 13):
+    for n in range(1, 15):
         for m in range(1, n + 1):
             got = partitions(n, m)
             assert len(got) == len(set(got))
             assert set(got) == brute_partitions(n, m)
-            assert got == sorted(got, reverse=True)  # descending lex
+            assert got == sorted(brute_partitions(n, m), reverse=True)  # descending lex
             for mu in got:
                 assert sum(mu) == n and len(mu) == m
                 assert all(a >= b for a, b in zip(mu, mu[1:]))

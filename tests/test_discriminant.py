@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import multdisc.discriminant as disc
 from multdisc.discriminant import (
@@ -22,8 +24,8 @@ from multdisc.errors import (
 )
 from multdisc.combinat import expand_partition, multiset_permutations, partitions
 from multdisc.linalg import wedge_dp
-from multdisc.oracle import RootSpec, dmu_by_stacks, poly_from_roots, random_instance
-from multdisc.scalars import clear_denominators
+from multdisc.oracle import RootSpec, dmu_by_stacks, poly_from_roots, random_factored, random_instance
+from multdisc.scalars import clear_denominators, normalize_scalar
 from multdisc.subresultants import subresultant_det
 from multdisc.suites import run_suite
 from multdisc.sympoly import SymPoly
@@ -359,6 +361,25 @@ def test_classify_completeness():
         for nu in partitions(n, m):
             value = dmu(F, nu).value
             assert bool(value) == (nu == spec.partition())
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.integers(1, 3),
+    st.one_of(st.just(1), st.integers(2, 10**6)),
+)
+def test_classify_report_on_factored_inputs(seed, n, digits, den):
+    # irrational and complex roots, some inputs over Q: the structure is the
+    # built one, and the one nonzero certificate is dmu's value
+    F, structure = random_factored(seed, n, digits)
+    F = Poly([normalize_scalar(Fraction(c, den)) for c in F.coeffs])
+    report = classify_report(F)
+    assert report.multiplicity == structure
+    assert report.ndr == len(structure)
+    for nu, value in report.certificates:
+        assert value == (dmu(F, nu).value if nu == structure else 0)
+    assert not report.certificates or dict(report.certificates)[structure]
 
 
 def test_classify_high_degree_closed_form():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -48,6 +49,12 @@ def test_det_against_cofactor_oracle():
         expected = naive_det([list(r) for r in m.rows])
         assert _det_bareiss(m.rows) == expected
         assert wedge_dp([m.rows], [n]).get((1 << n) - 1, 0) == expected
+
+
+def test_det_over_q_with_int_pivots():
+    # int pivots but a rational entry: Bareiss divides int minors in Q
+    rows = [[2, 0, 0], [1, Fraction(1, 2), 0], [0, 1, Fraction(1, 2)]]
+    assert det(Matrix(rows)) == naive_det(rows) == Fraction(1, 2)
 
 
 def test_det_needs_pivoting():

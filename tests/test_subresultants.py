@@ -83,6 +83,27 @@ def test_chain_matches_determinant_definition():
     assert defective > 20  # the sweep must actually exercise defective blocks
 
 
+@st.composite
+def _chain_operands(draw):
+    nonzero_lead = lambda c: c[0] != 0
+    q = draw(st.lists(_COEFF, min_size=1, max_size=4).filter(nonzero_lead))
+    p = draw(st.lists(_COEFF, min_size=len(q) + 1, max_size=len(q) + 4).filter(nonzero_lead))
+    return Poly(p), Poly(q)
+
+
+@given(_chain_operands())
+@example((Poly([1, 0, 0, 0, -1]), Poly([2, 0, 3])))  # a defective block
+@example((Poly([Fraction(1, 2), 0, 0]), Poly([2, 1])))  # int leads over Q
+@example((Poly([2, 0, 0]), Poly([1, Fraction(1, 2)])))  # int Bareiss pivots over Q
+def test_chain_matches_determinant_definition_over_q(operands):
+    # the list kernel over Z and Q alike, against the determinant route
+    P, Q = operands
+    chain = subresultant_chain(P, Q)
+    assert len(chain) == Q.degree + 1
+    for k in range(Q.degree + 1):
+        assert chain[k] == subresultant_det(P, Q, k), (P, Q, k)
+
+
 def test_chain_guards():
     with pytest.raises(ZeroPolynomial):
         subresultant_chain(Poly(), Poly([1]))
