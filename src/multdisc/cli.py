@@ -22,10 +22,11 @@ import random
 import sys
 from dataclasses import asdict
 
-from .combinat import parse_partition, partitions
-from .discriminant import classify_report, dmu, dmu_degree
+from .combinat import parse_partition, partition_count, partitions
+from .discriminant import CANDIDATE_CAP, classify_report, dmu, dmu_degree
 from .errors import (
     AmbiguousClassification,
+    CapExceeded,
     ChainDegenerate,
     LeadingZero,
     MultdiscError,
@@ -262,7 +263,16 @@ def _table_rows(n, measure_upto):
 
 
 def cmd_table(args, out):
-    rows = _table_rows(args.n, args.measure_upto)
+    n = args.n
+    if n < 1:
+        raise ParseError(f"--n must be at least 1, got {n}")
+    # degree k has p(k) - 3 rows for k >= 3, growing with k, so the first
+    # k <= n over the cap refuses n at a bounded cost, however large n is
+    for k in range(1, n + 1):
+        if (count := sum(partition_count(k, m) for m in range(2, k - 1))) > CANDIDATE_CAP:
+            more = "" if k == n else "more than "
+            raise CapExceeded(f"table --n {n} has {more}{count} rows, over the cap of {CANDIDATE_CAP}")
+    rows = _table_rows(n, args.measure_upto)
     columns = ["n", "m", "mu", "num_new", "num_yhz", "d_new", "d_yhz"]
     if rows and "measured_d_new" in rows[0]:
         columns += ["measured_d_new", "measured_num_yhz", "measured_d_yhz", "match"]

@@ -11,14 +11,15 @@ a square stack of dimension 2n - mu_m.  Among degree-n polynomials with
 exactly m distinct roots, D_mu(F) != 0 holds precisely when the
 multiplicity structure of F is mu.
 
-classify_report uses that theorem to certify, not to search.  The
-principal subresultant coefficients of F, F' give m, and the chain step
-S_(n-m) is gcd(F, F') up to a scalar (psd_sequence).  Yun's squarefree
+classify_report uses that theorem to certify, not to search, in one pass
+over F with its denominators cleared once.  The principal subresultant
+coefficients of F, F' give m, and the chain step S_(n-m) is gcd(F, F')
+up to a scalar (psd_sequence).  From it one run of Yun's squarefree
 decomposition F = c prod_i f_i^i (D. Y. Y. Yun, SYMSAC 1976), each gcd
 the primitive part of a subresultant chain step and each quotient exact,
-then gives mu directly: f_i carries the roots of multiplicity i.  Only
-the true mu's D_mu proves anything, and it has a closed form (lc and
-T_v = F^(v)/v! as in the next paragraph).  A root of
+yields mu and its D_mu together: f_i carries the roots of multiplicity i,
+and each f_i of positive degree extends mu and the closed form below
+(lc and T_v = F^(v)/v! as in the next paragraph).  A root of
 multiplicity i has T_v(alpha) = 0 for v < i, so in the root-side identity
 below every root of multiplicity i contributes T_i(alpha) to each of its
 i factors, and
@@ -305,47 +306,46 @@ def _gcd(P, Q):
     return _primitive(next(S for k, S in enumerate(chain) if S.coeff(k)))
 
 
-def _yun(F, g):
-    """[f_1, f_2, ...] with F = c prod_i f_i^i, from g = gcd(F, F') up to a scalar.
+def _certify(F, g, m):
+    """mu and D_mu(F) for integer F with m distinct roots, g = gcd(F, F') up to a scalar.
 
-    Yun's recurrence: b = F/g, d = F'/g - b'; then f_i = gcd(b, d),
-    b <- b/f_i and d <- d/f_i - (b/f_i)'.  Every gcd is primitive, so by
-    Gauss's lemma every quotient is an exact one over the integers, and
-    poly_div raises on a remainder.
+    One run of Yun's recurrence: b = F/g, d = F'/g - b'; then f_i =
+    gcd(b, d), b <- b/f_i and d <- d/f_i - (b/f_i)'.  Every gcd is
+    primitive, so by Gauss's lemma every quotient is an exact one over the
+    integers, and poly_div raises on a remainder.  A part f_i of positive
+    degree adds deg f_i parts i to mu and N_i^i to the closed form above.
     """
+    n = F.degree
     g = _primitive(g)
     b = poly_div(F, g)
     d = poly_div(F.derivative(), g) - b.derivative()
-    parts = []
+    mu, num, den, i = (), 1, 1, 0
     # F has no root of multiplicity above deg F, so a correct run stops by
-    # then; the bound turns a defect into a part count that classify rejects
-    while b.degree > 0 and len(parts) < F.degree:
+    # then; the bound turns a defect into a part count that is rejected
+    while b.degree > 0 and i < n:
+        i += 1
         f = _gcd(b, d)
         b = poly_div(b, f)
         d = poly_div(d, f) - b.derivative()
-        parts.append(f)
-    return parts
-
-
-def _certificate(F, parts, mu):
-    """D_mu(F) for integer F and its Yun parts, by the closed form above."""
-    n = F.degree
-    num, den = F.lead ** (n - mu[-1]), 1
-    for i, f in enumerate(parts, 1):
         if not f.degree:
             continue
+        mu = (i,) * f.degree + mu
         # deg T_i = n - i >= deg f_i, as F has a root outside f_i
         t = F.taylor_derivative(i)
-        e = t.degree - f.degree + 1
         r = pseudo_rem(t, f)
         if not r:
-            return 0
+            num = 0
+            continue
         num *= subresultant_chain(f, r)[0].coeff(0) ** i
-        den *= f.lead ** (i * (r.degree + e * f.degree))
-    value, rest = divmod(num, den)
+        den *= f.lead ** (i * (r.degree + (t.degree - f.degree + 1) * f.degree))
+    if len(mu) != m:
+        raise AmbiguousClassification(f"the psd counts {m} distinct roots, Yun's decomposition {len(mu)}: {mu}")
+    value, rest = divmod(F.lead ** (n - mu[-1]) * num, den)
     if rest:
         raise AmbiguousClassification(f"the certificate of {mu} is not an integer")
-    return value
+    if not value:
+        raise AmbiguousClassification(f"the certificate of {mu} is 0")
+    return mu, value
 
 
 def classify_report(F):
@@ -360,6 +360,8 @@ def classify_report(F):
     n = F.degree
     if n < 1:
         raise DegreeMismatch("cannot classify a constant: it has no roots")
+    ints, _ = clear_denominators(list(F.coeffs))
+    F = Poly(ints)
     report = psd_sequence(F)
     m = report.ndr
     if (count := partition_count(n, m)) > CANDIDATE_CAP:
@@ -367,17 +369,7 @@ def classify_report(F):
     candidates = partitions(n, m)
     if len(candidates) == 1:  # m in {1, n - 1, n}
         return ClassifyReport(n, m, candidates[0], ())
-    ints, _ = clear_denominators(list(F.coeffs))
-    Fz = Poly(ints)
-    parts = _yun(Fz, report.gcd)
-    mu = tuple(i for i in range(len(parts), 0, -1) for _ in range(parts[i - 1].degree))
-    if len(mu) != m:
-        raise AmbiguousClassification(
-            f"the psd counts {m} distinct roots, Yun's decomposition {len(mu)}: {mu}"
-        )
-    value = _certificate(Fz, parts, mu)
-    if not value:
-        raise AmbiguousClassification(f"the certificate of {mu} is 0")
+    mu, value = _certify(F, report.gcd, m)
     certificates = tuple((nu, value if nu == mu else 0) for nu in candidates)
     return ClassifyReport(n, m, mu, certificates)
 

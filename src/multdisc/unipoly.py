@@ -5,12 +5,12 @@ ring), and every operation stays exact.  Coefficients are stored in a
 tuple, descending by degree, with no leading zero; the zero polynomial is
 the empty tuple and its degree is the NEG_INF sentinel, which orders below
 every integer but refuses arithmetic, so a forgotten zero check fails
-loudly instead of producing nonsense degrees.  The exact divisions,
-poly_div and Poly.exact_div_scalar, take int and Fraction coefficients
-only.  poly_div decides its ring once per call, by exact type (see
-scalars): Z when every coefficient is an int, else Q.  Yun's quotients
-run over Z; the subresultant chain works on plain coefficient lists
-(subresultants) and wraps in Poly only the chain it returns.
+loudly instead of producing nonsense degrees.  The exact division
+poly_div takes int and Fraction coefficients only.  It decides its ring
+once per call, by exact type (see scalars): Z when every coefficient is
+an int, else Q.  Yun's quotients run over Z; the subresultant chain
+works on plain coefficient lists (subresultants) and wraps in Poly only
+the chain it returns.
 """
 
 from fractions import Fraction
@@ -165,9 +165,6 @@ class Poly:
         if not self.coeffs:
             return self
         return Poly(self.coeffs + (0,) * k)
-
-    def exact_div_scalar(self, s):
-        return Poly([exact_div(c, s) if c else c for c in self.coeffs])
 
     def __str__(self):
         if not self.coeffs:

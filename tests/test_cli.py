@@ -308,6 +308,22 @@ def test_table_n3_empty():
     assert text.strip() == "n,m,mu,num_new,num_yhz,d_new,d_yhz"
 
 
+def test_table_row_cap(monkeypatch, capsys):
+    # p(50) - 3 = 204,223 rows are counted, not listed, and refused; so is
+    # any larger n, and a degree below 1
+    def unlisted(n, m):
+        raise AssertionError("partitions listed")
+
+    monkeypatch.setattr(cli, "partitions", unlisted)
+    assert run(["table", "--n", "50"]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "error: table --n 50 has 204223 rows, over the cap of 200000\n"
+    assert run(["table", "--n", "1000000000", "--format", "json"]) == (EXIT_USAGE, "")
+    assert "more than 204223 rows" in capsys.readouterr().err
+    for n in ("0", "-3"):
+        assert run(["table", "--n", n]) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == f"error: --n must be at least 1, got {n}\n"
+
+
 def test_table_n4():
     code, text = run(["table", "--n", "4", "--format", "csv"])
     lines = text.strip().splitlines()

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import multdisc.discriminant as disc
@@ -369,6 +369,7 @@ def test_classify_completeness():
     st.integers(1, 3),
     st.one_of(st.just(1), st.integers(2, 10**6)),
 )
+@example(seed=4, n=8, digits=100, den=999983)  # (3, 3, 1, 1), 400-digit coefficients
 def test_classify_report_on_factored_inputs(seed, n, digits, den):
     # irrational and complex roots, some inputs over Q: the structure is the
     # built one, and the one nonzero certificate is dmu's value
@@ -383,13 +384,18 @@ def test_classify_report_on_factored_inputs(seed, n, digits, den):
 
 
 def test_classify_high_degree_closed_form():
-    # (k, k-1, ..., 1) at n = 21, 28, 45: the one nonzero certificate is
-    # lc^(n - 1) prod_j T_(m_j)(r_j)^(m_j), computed from the known roots
+    # (k, k-1, ..., 1) at n = 21, 28, 45, and at n = 21 with roots of up to
+    # 100 digits (coefficients of about 2,100): the one nonzero certificate
+    # is lc^(n - 1) prod_j T_(m_j)(r_j)^(m_j), computed from the known roots
     rng = random.Random(45)
-    for k in (6, 7, 9):
+    for k, digits in ((6, 1), (7, 1), (9, 1), (6, 100)):
         mults = tuple(range(k, 0, -1))
         n = sum(mults)
-        spec = RootSpec(roots=tuple(rng.sample(range(-9, 10), k)), mults=mults, lead=rng.choice((-2, 3)))
+        if digits == 1:
+            roots = rng.sample(range(-9, 10), k)
+        else:
+            roots = [rng.randrange(1 - 10**digits, 10**digits) for _ in range(k)]
+        spec = RootSpec(roots=tuple(roots), mults=mults, lead=rng.choice((-2, 3)))
         F = poly_from_roots(spec)
         report = classify_report(F)
         assert report.multiplicity == mults

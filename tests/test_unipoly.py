@@ -94,10 +94,6 @@ def test_poly_exact_division():
     assert poly_div(p, Poly([1, 1])) == q
     with pytest.raises(NonExactDivision):
         poly_div(Poly([1, 0, 1]), q)
-    assert Poly([2, 4]).exact_div_scalar(2) == Poly([1, 2])
-    assert Poly([Fraction(1, 2), 3]).exact_div_scalar(Fraction(1, 2)) == Poly([1, 6])
-    with pytest.raises(NonExactDivision):
-        Poly([2, 3]).exact_div_scalar(2)
 
 
 def test_poly_division_over_q_with_int_leads():
