@@ -218,8 +218,8 @@ def _evaluated_size(n, mu):
     each is a determinant whose rows are homogeneous of one degree each.
     So at an integer point r with P(r) != 0, P(2r) = 2^d P(r): the nonzero
     value proves P is not identically zero, and the ratio gives its exact
-    total degree d.  The numeric chain at formal degrees is the symbolic
-    chain specialised at r (see the subresultants module), so it has the
+    total degree d.  The numeric chain, read at formal degrees, is the
+    symbolic chain specialised at r (see the yhz module), so it has the
     same equations.  a_0 > 0 keeps deg F = n.  A point where some value
     vanishes is retried with the next seed; None after five points.
     """
@@ -266,6 +266,8 @@ def cmd_table(args, out):
     n = args.n
     if n < 1:
         raise ParseError(f"--n must be at least 1, got {n}")
+    if args.measure_upto < 0:
+        raise ParseError(f"--measure-upto must be at least 0, got {args.measure_upto}")
     # degree k has p(k) - 3 rows for k >= 3, growing with k, so the first
     # k <= n over the cap refuses n at a bounded cost, however large n is
     for k in range(1, n + 1):

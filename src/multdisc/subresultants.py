@@ -24,14 +24,8 @@ Two routes compute the same chain:
   coefficient.  The k + 1 matrices share all columns but one, so on
   symbolic input the coefficients read one shared wedge_dp layer
   (linalg.dets_with_last_row) and cost about one determinant; integer
-  input takes one Bareiss determinant each.  Works over any ring, and
-  accepts *formal* degrees larger than the actual ones (virtual leading
-  zeros).  Formal degrees matter when specialising a chain computed over
-  symbolic coefficients at a point where leading coefficients vanish:
-  the remainder sequence would see the collapsed degrees and compute a
-  different object, while the padded determinants commute with
-  specialisation.  This route is the symbolic path and the cross-check
-  oracle for the other one.
+  input takes one Bareiss determinant each.  Works over any ring.  This
+  route is the symbolic path and the cross-check oracle for the other one.
 
 resultant is det of the Sylvester matrix, S_0's full square matrix.
 """
@@ -66,6 +60,18 @@ def pseudo_rem(P, Q):
     return Poly(_prem(P.coeffs, Q.coeffs))
 
 
+def _degrees(P, Q, k):
+    """(deg P, deg Q), checked: both nonzero, deg P > deg Q and 0 <= k <= deg Q."""
+    if not P or not Q:
+        raise ZeroPolynomial("subresultant of the zero polynomial")
+    p, q = P.degree, Q.degree
+    if p <= q:
+        raise ValueError("subresultants need deg P > deg Q")
+    if not 0 <= k <= q:
+        raise DegreeOutOfRange(f"subresultant index {k} outside 0..{q}")
+    return p, q
+
+
 def subresultant_chain(P, Q):
     """The full chain [S_0, ..., S_q] of P and Q, deg P > deg Q >= 0.
 
@@ -75,11 +81,7 @@ def subresultant_chain(P, Q):
     The sequence runs on coefficient lists, over Z or Q alike, and every
     scalar division is exact_div, so a non-exact one over Z raises.
     """
-    if not P or not Q:
-        raise ZeroPolynomial("subresultant chain of the zero polynomial")
-    p, q = P.degree, Q.degree
-    if p <= q:
-        raise ValueError("subresultant chain expects deg P > deg Q")
+    p, q = _degrees(P, Q, 0)
     A = list(Q.coeffs)
     chain = [()] * (q + 1)
     chain[q] = [c * A[0] ** (p - q - 1) for c in A] if p - q - 1 else A
@@ -108,27 +110,9 @@ def subresultant_chain(P, Q):
     return [Poly(S) for S in chain]
 
 
-def _formal_degrees(P, Q, k, p, q):
-    """The formal degrees (p, q), defaulted and checked against P, Q and k."""
-    if p is None:
-        if not P:
-            raise ZeroPolynomial("formal degree required for a zero polynomial")
-        p = P.degree
-    if q is None:
-        if not Q:
-            raise ZeroPolynomial("formal degree required for a zero polynomial")
-        q = Q.degree
-    if P.degree > p or Q.degree > q:
-        raise DegreeOutOfRange("actual degree exceeds the formal degree")
-    if p <= q or q < 0:
-        raise ValueError("subresultants need formal degrees p > q >= 0")
-    if not 0 <= k <= q:
-        raise DegreeOutOfRange(f"subresultant index {k} outside 0..{q}")
-    return p, q
-
-
-def _sylvester_rows(P, Q, k, p, q, ncols):
+def _sylvester_rows(P, Q, k, ncols):
     """The p+q-2k rows of S_k's matrix, cut to its first ncols columns."""
+    p, q = P.degree, Q.degree
     top_degree = p + q - k - 1
     rows = []
     for shift in range(q - k - 1, -1, -1):
@@ -138,24 +122,19 @@ def _sylvester_rows(P, Q, k, p, q, ncols):
     return rows
 
 
-def subresultant_det(P, Q, k, p=None, q=None):
-    """S_k(P, Q) by the determinant definition, optionally at formal degrees.
-
-    p and q default to the actual degrees; passing larger values evaluates
-    the same determinants with padded leading zeros.
-    """
-    p, q = _formal_degrees(P, Q, k, p, q)
+def subresultant_det(P, Q, k):
+    """S_k(P, Q) by the determinant definition."""
+    p, q = _degrees(P, Q, k)
     if k == q:
-        c = Q.coeff(q)
-        return Q.scale(c ** (p - q - 1)) if p - q - 1 else Q
+        return Q.scale(Q.lead ** (p - q - 1)) if p - q - 1 else Q
     nrows = p + q - 2 * k
     top_degree = p + q - k - 1
     # M_j^T is the first nrows - 1 columns plus the degree-j column as rows
-    cols = list(zip(*_sylvester_rows(P, Q, k, p, q, top_degree + 1)))
+    cols = list(zip(*_sylvester_rows(P, Q, k, top_degree + 1)))
     return Poly(dets_with_last_row(cols[: nrows - 1], [cols[top_degree - j] for j in range(k, -1, -1)]))
 
 
 def resultant(P, Q):
     """res(P, Q) for deg P > deg Q: det of the Sylvester matrix, S_0's matrix."""
-    p, q = _formal_degrees(P, Q, 0, None, None)
-    return det(Matrix(_sylvester_rows(P, Q, 0, p, q, p + q)))
+    p, q = _degrees(P, Q, 0)
+    return det(Matrix(_sylvester_rows(P, Q, 0, p + q)))

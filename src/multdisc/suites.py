@@ -121,7 +121,7 @@ def trial_scaling(rng, trial):
 
 
 def trial_yhz_agree(rng, trial):
-    spec, F = _random_spec(rng, 4, 6)
+    spec, F = _random_spec(rng, 4, 10)
     truth = spec.partition()
     if psd_sequence(F).ndr != len(truth):
         return f"spec={spec}, ndr mismatch"
@@ -142,7 +142,7 @@ def trial_certificates(rng, trial):
     random denominator.  classify evaluates only the true structure's
     certificate in closed form; dmu evaluates them all.
     """
-    n = rng.randint(4, 8)
+    n = rng.randint(4, 10)
     if trial % 2:
         F, truth = random_factored(rng.randrange(2**32), n, rng.randint(1, 3))
     else:

@@ -3,10 +3,13 @@
 The baseline condition for multiplicity structure mu builds a chain
 G_0 = F, G_i = S_(s_i)(G_(i-1), G_(i-1)') with s_i = sum_j max(mu_j - i, 0),
 and states: all principal coefficients sbar_j(G_i) vanish for
-i = 1..mu_1-2, j = 0..s_(i+1)-1, while sbar_0(G_(mu_1-1)) does not.  The
-chain is evaluated at *formal* degrees deg G_i = s_i throughout, so
-substituting numbers into the symbolically computed chain and running the
-chain on numeric input give identical values (see subresultants module).
+i = 1..mu_1-2, j = 0..s_(i+1)-1, while sbar_0(G_(mu_1-1)) does not.
+
+Each pair (G_i, G_i') is read at *formal* degrees (s_i, s_i - 1), s_0 = n,
+so evaluating the symbolic chain at a point equals running it there, even
+where leading coefficients vanish.  Below its formal degree p, G gives
+S_k = 0 for k < p - 1 (the top column is zero) and S_(p-1) = G'; at it,
+numeric G takes one remainder sequence and symbolic G the determinants.
 
 The closed-form size of the condition: the number of polynomials is
 1 + sum_i C(mu_i - 1, 2), and the maximum total degree in the coefficients
@@ -20,7 +23,8 @@ from math import comb, prod
 from .combinat import check_partition
 from .discriminant import SYMBOLIC_CAP
 from .errors import CapExceeded, ChainDegenerate, DegreeMismatch
-from .subresultants import subresultant_det
+from .subresultants import subresultant_chain, subresultant_det
+from .unipoly import Poly
 
 
 @dataclass(frozen=True)
@@ -79,9 +83,23 @@ def yhz_degree_lower_bound(n, mu2):
     return 2 * n + 3 ** mu2 - 4 * mu2
 
 
+def _steps(G, p, ks):
+    """S_k(G, G') at formal degrees (p, p - 1) for each k in ks, 0 <= k < p."""
+    if G.degree < p:
+        return [G.derivative() if k == p - 1 else Poly() for k in ks]
+    if G.is_symbolic():
+        return [subresultant_det(G, G.derivative(), k) for k in ks]
+    chain = subresultant_chain(G, G.derivative())
+    return [chain[k] for k in ks]
+
+
 def yhz_condition(F, mu):
     """Build the chain and collect the condition values for F and mu.
 
+    Step i = 0..mu_1-1 reads S_k(G_i, G_i') for k < s_(i+1) when i >= 1,
+    whose principal coefficients are the equations, and S_(s_(i+1)): that
+    is G_(i+1), except at the last step, where s_(mu_1) = 0 and S_0's
+    constant is the inequation.
     In symbolic mode an identically vanishing chain member or inequation
     is reported as ChainDegenerate, never skipped.  In numeric mode zero
     chain members simply propagate zeros into the collected values, which
@@ -98,23 +116,16 @@ def yhz_condition(F, mu):
     if symbolic and n > SYMBOLIC_CAP:
         raise CapExceeded(f"symbolic chain capped at degree {SYMBOLIC_CAP}")
     s = s_sequence(mu)
-    chain = [F]
-    formal = [n]
-    for i in range(1, mu[0]):
-        prev = chain[i - 1]
-        fdeg = formal[i - 1]
-        nxt = subresultant_det(prev, prev.derivative(), s[i - 1], p=fdeg, q=fdeg - 1)
-        if symbolic and not nxt:
-            raise ChainDegenerate(f"G_{i} vanishes identically for mu={mu}")
-        chain.append(nxt)
-        formal.append(s[i - 1])
-    equations = []
-    for i in range(1, mu[0] - 1):
-        g, fdeg = chain[i], formal[i]
-        for j in range(s[i]):
-            equations.append(subresultant_det(g, g.derivative(), j, p=fdeg, q=fdeg - 1).coeff(j))
-    bottom, fdeg = chain[mu[0] - 1], formal[mu[0] - 1]
-    inequation = subresultant_det(bottom, bottom.derivative(), 0, p=fdeg, q=fdeg - 1).coeff(0)
+    chain, equations, p = [F], [], n
+    for i, k in enumerate(s):
+        *steps, last = _steps(chain[i], p, [*range(k if i else 0), k])
+        equations += [S.coeff(j) for j, S in enumerate(steps)]
+        if k:  # s_(i+1) > 0 for i < mu_1 - 1: last is the next chain member
+            if symbolic and not last:
+                raise ChainDegenerate(f"G_{i + 1} vanishes identically for mu={mu}")
+            chain.append(last)
+            p = k
+    inequation = last.coeff(0)
     if symbolic and not inequation:
         raise ChainDegenerate(f"inequation vanishes identically for mu={mu}")
     return YhzCondition(tuple(mu), tuple(chain), s, tuple(equations), inequation)

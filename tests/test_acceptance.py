@@ -61,6 +61,9 @@ SYMBOLIC_STDOUT_SHA256 = "cdf546fc2ab2f939ad5cc98a9fd56b13ee57376af143c76e31508f
 # sha256 of the stdout of `table --n 7 --measure-upto 7 --format json`
 TABLE_N7_JSON_SHA256 = "8ede7b506ba2fd77a935c9f5684b999ccabcbabbceb3be19129fcf2765da4321"
 
+# sha256 of the stdout of `table --n 10 --measure-upto 10 --format json`
+TABLE_N10_JSON_SHA256 = "4876a144e99ca49cde98a148143ca7b82d4144ce6e50bc48adc2ab5dc3b7a5c1"
+
 ROUNDTRIP_TRIALS = 500
 ROUNDTRIP_SEED = 20240811
 
@@ -229,8 +232,9 @@ def test_criterion_9_measured_comparison_n7():
         out = io.StringIO()
         argv = ["table", "--n", str(n), "--measure-upto", str(n), "--format", "json"]
         assert main(argv, out=out) == EXIT_OK
-        if n == 7:
-            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == TABLE_N7_JSON_SHA256
+        if n in (7, 10):
+            pin = TABLE_N7_JSON_SHA256 if n == 7 else TABLE_N10_JSON_SHA256
+            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == pin, n
         rows = json.loads(out.getvalue())
         assert len(rows) == row_count
         for row in rows:

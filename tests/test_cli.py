@@ -342,6 +342,13 @@ def test_table_measured():
     assert len(rows) == 19 and all(row["match"] == "true" for row in rows)
 
 
+def test_table_rejects_negative_measure_upto(capsys):
+    assert run(["table", "--n", "5", "--measure-upto", "-1"]) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "error: --measure-upto must be at least 0, got -1\n"
+    code, text = run(["table", "--n", "5", "--measure-upto", "0", "--format", "csv"])
+    assert code == EXIT_OK and "measured_d_new" not in text
+
+
 def test_table_measured_degenerate_point(monkeypatch):
     # D_mu vanishes at every point tried: the row reads degenerate
     monkeypatch.setattr(cli, "dmu", lambda F, mu, **kw: disc.DmuResult(mu, "numeric", 0, 1, 1))

@@ -417,7 +417,7 @@ def test_certificates_suite():
 @pytest.mark.parametrize("suite", ["lemma1", "roundtrip", "scaling", "yhz-agree"])
 def test_seeded_suites_pass(suite):
     # the lemma-1 root side, classify, the Newton kernel's homogeneity and
-    # the yhz condition (Bareiss over Z) against the structure
+    # the yhz condition (one remainder sequence per chain step) against the structure
     result = run_suite(suite, 30, 11)
     assert result.ok, result.failures[:3]
     assert result.passed == result.trials == 30

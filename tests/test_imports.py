@@ -71,3 +71,80 @@ def test_the_scan_sees_an_unreferenced_private_definition():
     b = ast.parse("from a import _used\nimport a\nx = a._Kept\n")
     assert _unreferenced_private([a, b]) == ["_recursive"]
     assert _unreferenced_private([a]) == ["_Kept", "_recursive", "_used"]
+
+
+def _defs(tree, module):
+    """(qualified name, names it is called by, leading self/cls count, def node) per function and method."""
+    found = []
+
+    def visit(body, prefix, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.", node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+                # a call of the class name, or of cls in a classmethod, passes __init__'s arguments
+                called = (node.name, cls, "cls") if cls and node.name == "__init__" else (node.name,)
+                found.append((f"{prefix}{node.name}", called, int(bool(cls) and not static), node))
+                visit(node.body, f"{prefix}{node.name}.", None)
+            elif hasattr(node, "body"):  # if, for, while, with, try
+                visit(node.body, prefix, cls)
+                visit(getattr(node, "orelse", []), prefix, cls)
+
+    visit(tree.body, f"{module}.", None)
+    return found
+
+
+def _unpassed_defaults(modules, exempt=()):
+    """The defaulted parameters, as "module.function(parameter)", that no call in the modules passes.
+
+    Calls are matched to definitions by name alone, so a call of any
+    function or method of that name counts; a *args or **kwargs argument
+    passes every parameter.
+    """
+    positional, keywords = {}, {}
+    for tree in modules.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            positional[name] = max(positional.get(name, 0), float("inf") if starred else len(call.args))
+            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+    unpassed = set()
+    for module, tree in modules.items():
+        for qualname, called, bound, node in _defs(tree, module):
+            if qualname in exempt:
+                continue
+            args = node.args
+            ordered = args.posonlyargs + args.args
+            first = len(ordered) - len(args.defaults)
+            params = [(a.arg, i - bound) for i, a in enumerate(ordered) if i >= first]
+            params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            most = max(positional.get(name, 0) for name in called)
+            passed_kw = set().union(*(keywords.get(name, set()) for name in called))
+            for param, index in params:
+                by_position = index is not None and most > index
+                if not by_position and param not in passed_kw and None not in passed_kw:
+                    unpassed.add(f"{qualname}({param})")
+    return sorted(unpassed)
+
+
+def test_every_default_is_passed_somewhere():
+    # a parameter that every caller leaves at its default is a knob nobody turns
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SOURCE.glob("*.py"))}
+    assert _unpassed_defaults(modules, exempt={"cli.main"}) == []
+
+
+def test_the_scan_sees_an_unpassed_default():
+    # by position or keyword; a class call passes __init__'s; **kwargs passes all
+    tree = ast.parse(
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n\n"
+        "class K:\n    def __init__(self, x=0, y=0, w=0):\n        pass\n\n"
+        "    def m(self, z=1):\n        pass\n\n"
+        "    @classmethod\n    def make(cls, v=0):\n        return cls(1, 2, v)\n\n"
+        "def main(argv=None):\n    pass\n\n"
+        "f(1, 2)\nf(1, d=4)\nK(5)\nk.m(**opts)\n"
+    )
+    assert _unpassed_defaults({"a": tree}) == ["a.K.make(v)", "a.f(c)", "a.main(argv)"]
+    assert _unpassed_defaults({"a": tree}, exempt={"a.main"}) == ["a.K.make(v)", "a.f(c)"]

@@ -1,14 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from multdisc.combinat import partitions
 from multdisc.discriminant import dmu
 from multdisc.errors import CapExceeded, DegreeMismatch
-from multdisc.oracle import poly_from_roots, random_instance
+from multdisc.oracle import RootSpec, poly_from_roots, random_instance
 from multdisc.sympoly import SymPoly
-from multdisc.unipoly import generic_poly, parse_poly
+from multdisc.unipoly import Poly, generic_poly, parse_poly
 from multdisc.yhz import (
+    _steps,
     measured_size,
     s_sequence,
     yhz_condition,
@@ -16,6 +18,8 @@ from multdisc.yhz import (
     yhz_degree,
     yhz_degree_lower_bound,
 )
+
+from helpers import random_poly, subresultant_oracle
 
 # the published comparison rows for n = 8: mu -> (#, d_new, d)
 TABLE_N8 = {
@@ -151,3 +155,47 @@ def test_numeric_chain_specialises_symbolic_condition():
     assert [e.evaluate(values) for e in cond_sym.equations] == list(cond_num.equations)
     assert cond_sym.inequation.evaluate(values) == cond_num.inequation
     assert cond_num.is_satisfied()
+
+
+def _step_cases():
+    """(G, p): int, rational and symbolic G, at deg G = p and below it, zero G included."""
+    rng = random.Random(18)
+    for _ in range(12):
+        G = random_poly(rng, max_deg=4)
+        if G.degree >= 1:
+            yield G, G.degree
+            yield G, G.degree + rng.randint(1, 2)
+    for roots, mults in (((1, -2), (3, 2)), ((0, 3), (2, 2)), ((2,), (4,))):  # defective blocks
+        G = poly_from_roots(RootSpec(roots=roots, mults=mults, lead=2))
+        yield G, G.degree
+        yield G, G.degree + 1
+    G = Poly([Fraction(1, 2), 0, Fraction(-3, 4), 5])
+    yield G, 3
+    yield G, 4
+    for p in (1, 2, 4):
+        yield Poly(), p
+    for n in (3, 4):
+        F = generic_poly(n)
+        yield F, n
+        yield F, n + 1
+    F = generic_poly(3)
+    yield Poly([F.coeff(2), F.coeff(1), F.coeff(0)]), 3  # a symbolic G below its formal degree
+
+
+def test_steps_match_cofactor_oracle_at_formal_degrees():
+    # every k in 0..p-1, so the zero rule, both deg G = p routes and k = p - 1 are checked
+    for G, p in _step_cases():
+        dG = G.derivative()
+        for k, got in enumerate(_steps(G, p, range(p))):
+            assert [got.coeff(j) for j in range(k, -1, -1)] == subresultant_oracle(G, dG, k, p, p - 1), (G, p, k)
+
+
+def test_steps_specialise_at_a_collapsed_degree():
+    # a_0 = 0 drops the point's degree below 3: the symbolic steps evaluated
+    # there equal the numeric steps at the same formal degree
+    values = [0, 1, -2, 3]
+    ks = (0, 1, 2)
+    sym = _steps(generic_poly(3), 3, ks)
+    at = [Poly([c.evaluate(values) if isinstance(c, SymPoly) else c for c in S.coeffs]) for S in sym]
+    assert at == _steps(Poly(values), 3, ks)
+    assert at[2] == Poly(values).derivative() and not at[0] and not at[1]
