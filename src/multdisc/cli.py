@@ -28,9 +28,9 @@ from .errors import (
     AmbiguousClassification,
     CapExceeded,
     ChainDegenerate,
-    LeadingZero,
     MultdiscError,
     ParseError,
+    ZeroLead,
 )
 from .scalars import format_scalar, parse_scalar
 from .suites import SUITES, run_suite
@@ -71,7 +71,7 @@ def _parse_input_poly(text, degree=None):
     poly = parse_poly(text)  # raises ParseError on an empty field
     # Poly drops leading zeros, so the lead is checked on the raw field
     if not parse_scalar(text.split(",", 1)[0]):
-        raise LeadingZero(f"leading coefficient is zero: {text!r}")
+        raise ZeroLead(f"leading coefficient is zero: {text!r}")
     if degree is not None and poly.degree != degree:
         raise ParseError(f"--eval polynomial has degree {poly.degree}, expected {degree}")
     return poly
@@ -239,7 +239,7 @@ def _condition_values(F, mu):
     return [dmu(F, mu).value, *cond.equations, cond.inequation]
 
 
-def _table_rows(n, measure_upto):
+def _table_rows(n, measure):
     rows = []
     for m in range(2, n - 1):
         for mu in reversed(partitions(n, m)):
@@ -252,7 +252,7 @@ def _table_rows(n, measure_upto):
                 "d_new": dmu_degree(n, mu),
                 "d_yhz": yhz_degree(mu),
             }
-            if measure_upto and n <= measure_upto:
+            if measure:
                 size = _evaluated_size(n, mu)
                 measured = size or (None, None, None)
                 row.update(zip(("measured_d_new", "measured_num_yhz", "measured_d_yhz"), measured))
@@ -266,15 +266,13 @@ def cmd_table(args, out):
     n = args.n
     if n < 1:
         raise ParseError(f"--n must be at least 1, got {n}")
-    if args.measure_upto < 0:
-        raise ParseError(f"--measure-upto must be at least 0, got {args.measure_upto}")
     # degree k has p(k) - 3 rows for k >= 3, growing with k, so the first
     # k <= n over the cap refuses n at a bounded cost, however large n is
     for k in range(1, n + 1):
         if (count := sum(partition_count(k, m) for m in range(2, k - 1))) > CANDIDATE_CAP:
             more = "" if k == n else "more than "
             raise CapExceeded(f"table --n {n} has {more}{count} rows, over the cap of {CANDIDATE_CAP}")
-    rows = _table_rows(n, args.measure_upto)
+    rows = _table_rows(n, args.measure)
     columns = ["n", "m", "mu", "num_new", "num_yhz", "d_new", "d_yhz"]
     if rows and "measured_d_new" in rows[0]:
         columns += ["measured_d_new", "measured_num_yhz", "measured_d_yhz", "match"]
@@ -338,8 +336,7 @@ def build_parser():
 
     p = sub.add_parser("table", help="size comparison of the two conditions for degree n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--measure-upto", type=int, default=0,
-                   help="add columns measured by evaluation when n is at most this")
+    p.add_argument("--measure", action="store_true", help="add columns measured by evaluation")
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
     p.add_argument("--suite", required=True, help=f"one of: {', '.join(sorted(SUITES))}")

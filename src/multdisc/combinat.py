@@ -11,16 +11,8 @@ from math import factorial
 from .errors import EmptyDomain
 
 
-def is_partition(mu):
-    return (
-        len(mu) > 0
-        and all(isinstance(x, int) and x >= 1 for x in mu)
-        and all(a >= b for a, b in zip(mu, mu[1:]))
-    )
-
-
 def check_partition(mu):
-    if not is_partition(mu):
+    if not (mu and all(isinstance(x, int) and x >= 1 for x in mu) and all(a >= b for a, b in zip(mu, mu[1:]))):
         raise ValueError(f"not a partition (positive, non-increasing): {mu}")
     return tuple(mu)
 

@@ -60,8 +60,9 @@ coefficient ring:
   the multi-indices a <= c turns those traces into E(c), dividing by |b|
   in Z at each step.  The work is prod_v (c_v + 1) products of an n x n
   matrix by a vector and prod_v (c_v + 1)(c_v + 2)/2 convolution terms,
-  both known from mu before any arithmetic; above NEWTON_CAP terms dmu
-  raises CapExceeded at once.
+  both known from mu before any arithmetic; above NEWTON_CAP terms, or
+  above NEWTON_WORK_CAP for prod_v (c_v + 1) n^3, dmu raises CapExceeded
+  at once.
 * linalg.wedge_dp, for SymPoly F (the generic F, where lc is the variable
   a_0), with the M_v as its sources.  The determinant is multilinear in
   its columns, so E(c) sums det over every way to take column j from some
@@ -102,12 +103,15 @@ CANDIDATE_CAP = 200_000
 # every partition of n <= 21 is under it, the largest (6,5,4,3,2,1) with
 # 1,587,600 terms
 NEWTON_CAP = 2_000_000
+# the most matrix-vector work of the Newton kernel, prod_v (c_v + 1) n^3 (n^2
+# products of integers that grow with n, per matrix-vector product): every
+# partition of n <= 21 is under it, the largest (6,5,4,3,2,1) with 46,675,440,
+# while 1^n is over it from n = 84 on (1^180, under NEWTON_CAP, took 104 s)
+NEWTON_WORK_CAP = 50_000_000
 
 
 @dataclass(frozen=True)
 class DmuResult:
-    mu: tuple
-    mode: str  # "numeric" | "symbolic"
     value: object  # int (numeric) or SymPoly (symbolic)
     term_count: int
     matrix_dim: int
@@ -231,7 +235,8 @@ def dmu(F, mu):
     denominators first; D_mu is homogeneous of degree 2n - mu_m, so the
     zero/nonzero verdict is unaffected and the reported value is the one
     for the scaled integer polynomial.  Symbolic F is capped at degree
-    SYMBOLIC_CAP, numeric F at NEWTON_CAP convolution terms (CapExceeded).
+    SYMBOLIC_CAP, numeric F at NEWTON_CAP convolution terms and at
+    NEWTON_WORK_CAP matrix-vector work (CapExceeded).
     """
     mu = check_partition(mu)
     if not F:
@@ -259,12 +264,14 @@ def dmu(F, mu):
     else:
         if (terms := prod((ck + 1) * (ck + 2) // 2 for ck in c)) > NEWTON_CAP:
             raise CapExceeded(f"dmu of {mu} needs {terms} convolution terms, over the cap of {NEWTON_CAP}")
+        if (work := prod(ck + 1 for ck in c) * n**3) > NEWTON_WORK_CAP:
+            raise CapExceeded(f"dmu of {mu} needs prod_v (c_v + 1) n^3 = {work}, over the cap of {NEWTON_WORK_CAP}")
         ints, _ = clear_denominators(list(F.coeffs))
         F = Poly(ints)
         g, cols = _scaled_columns(F, values)
         total = _newton_traces(g, cols, c)
         value = exact_div(total, F.lead ** (d_c - (n - mu[-1])))
-    return DmuResult(mu, "symbolic" if symbolic else "numeric", value, term_count, dim)
+    return DmuResult(value, term_count, dim)
 
 
 def psd_sequence(F):

@@ -21,10 +21,6 @@ class DimensionMismatch(MultdiscError):
     """Matrix or permutation dimensions do not line up."""
 
 
-class DimensionTooLarge(MultdiscError):
-    """Matrix exceeds the configured size cap for an exponential algorithm."""
-
-
 class DegreeTooHigh(MultdiscError):
     """A polynomial exceeds the degree bound of the requested operation."""
 
@@ -59,7 +55,7 @@ class DuplicateRoots(MultdiscError):
 
 
 class ZeroLead(MultdiscError):
-    """The leading coefficient of a root specification must be nonzero."""
+    """A zero leading coefficient: of a root specification or of coefficient input."""
 
 
 class RootMismatch(MultdiscError):
@@ -67,7 +63,7 @@ class RootMismatch(MultdiscError):
 
 
 class CapExceeded(MultdiscError):
-    """Work requested beyond a fixed cap: symbolic degree or classify candidates."""
+    """Work requested beyond a fixed cap: degree, kernel work, candidates or matrix size."""
 
 
 class UnknownSuite(MultdiscError):
@@ -76,7 +72,3 @@ class UnknownSuite(MultdiscError):
 
 class ParseError(MultdiscError):
     """Malformed user input (coefficients, partitions, batch files)."""
-
-
-class LeadingZero(MultdiscError):
-    """Coefficient input starts with a zero leading coefficient."""

@@ -30,12 +30,7 @@ capped, since the permanent only ever backs small oracle computations.
 
 from fractions import Fraction
 
-from .errors import (
-    DegreeTooHigh,
-    DimensionMismatch,
-    DimensionTooLarge,
-    NotSquare,
-)
+from .errors import CapExceeded, DegreeTooHigh, DimensionMismatch, NotSquare
 from .scalars import exact_div, in_z
 from .sympoly import SymPoly, sum_of_products
 
@@ -52,10 +47,6 @@ class Matrix:
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise DimensionMismatch("ragged rows")
         self.rows = rows
-
-    @classmethod
-    def identity(cls, k):
-        return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)])
 
     @property
     def nrows(self):
@@ -227,7 +218,7 @@ def permanent(m):
     if n == 0:
         return 1
     if n > PERMANENT_CAP:
-        raise DimensionTooLarge(f"permanent of size {n} exceeds cap {PERMANENT_CAP}")
+        raise CapExceeded(f"permanent of size {n} exceeds cap {PERMANENT_CAP}")
     cols = list(zip(*m.rows))
     sums = [0] * n
     included = [False] * n

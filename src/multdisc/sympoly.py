@@ -36,11 +36,11 @@ wedge_dp sums once per state it reaches, and the last step of
 dets_with_last_row, which det runs with one last line, once per last line.
 
 The public form stays the exponent tuple: the constructor and repr take
-or give tuples, and evaluate and degree_in unpack.  str
-splits each key into a high half (a_0 .. a_(h-1), h = nvars // 2) and a
-low half of its exponent fields, and builds each distinct half's factor
-text once per call: the terms of one polynomial share few halves, so
-most terms join two cached strings.
+or give tuples, and evaluate unpacks.  str splits each key into a high
+half (a_0 .. a_(h-1), h = nvars // 2) and a low half of its exponent
+fields, and builds each distinct half's factor text once per call: the
+terms of one polynomial share few halves, so most terms join two cached
+strings.
 """
 
 from math import prod
@@ -95,10 +95,6 @@ class SymPoly:
         p.nvars = nvars
         p.terms = terms
         return p
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
 
     @classmethod
     def const(cls, nvars, value):
@@ -182,14 +178,6 @@ class SymPoly:
         if not self.terms:
             raise ValueError("the zero polynomial has no total degree")
         return max(self.terms) >> (WIDTH * self.nvars)
-
-    def degree_in(self, index):
-        if not self.terms:
-            raise ValueError("the zero polynomial has no degree")
-        if not 0 <= index < self.nvars:
-            raise IndexError(f"variable index {index} out of range for {self.nvars} variables")
-        shift = WIDTH * (self.nvars - 1 - index)
-        return max((e >> shift) & FIELD_MAX for e in self.terms)
 
     def is_homogeneous(self):
         """True for the zero polynomial and for equal-total-degree term sets."""

@@ -26,12 +26,13 @@ from .errors import CapExceeded, ChainDegenerate, DegreeMismatch
 from .subresultants import subresultant_chain, subresultant_det
 from .unipoly import Poly
 
+# the largest closed-form degree of a numeric yhz_condition: every partition
+# of n <= 22 is at most 3^11, while (12, 12), at 3^12, took 67 s
+YHZ_DEGREE_CAP = 3**11
+
 
 @dataclass(frozen=True)
 class YhzCondition:
-    mu: tuple
-    chain: tuple  # G_0 .. G_(mu_1 - 1)
-    s: tuple  # s_1 .. s_(mu_1)
     equations: tuple  # values that must all vanish
     inequation: object  # value that must not vanish
 
@@ -99,12 +100,13 @@ def yhz_condition(F, mu):
     Step i = 0..mu_1-1 reads S_k(G_i, G_i') for k < s_(i+1) when i >= 1,
     whose principal coefficients are the equations, and S_(s_(i+1)): that
     is G_(i+1), except at the last step, where s_(mu_1) = 0 and S_0's
-    constant is the inequation.
+    constant is the inequation.  Only the current G_i is held.
     In symbolic mode an identically vanishing chain member or inequation
     is reported as ChainDegenerate, never skipped.  In numeric mode zero
     chain members simply propagate zeros into the collected values, which
     is exactly what specialising the symbolic chain would produce.
-    Symbolic F is capped at degree SYMBOLIC_CAP (CapExceeded).
+    Symbolic F is capped at degree SYMBOLIC_CAP, numeric F with
+    2 <= m <= n - 2 parts at closed-form degree YHZ_DEGREE_CAP (CapExceeded).
     """
     mu = check_partition(mu)
     n = sum(mu)
@@ -115,20 +117,20 @@ def yhz_condition(F, mu):
     symbolic = F.is_symbolic()
     if symbolic and n > SYMBOLIC_CAP:
         raise CapExceeded(f"symbolic chain capped at degree {SYMBOLIC_CAP}")
-    s = s_sequence(mu)
-    chain, equations, p = [F], [], n
-    for i, k in enumerate(s):
-        *steps, last = _steps(chain[i], p, [*range(k if i else 0), k])
+    if not symbolic and 2 <= len(mu) <= n - 2 and (degree := yhz_degree(mu)) > YHZ_DEGREE_CAP:
+        raise CapExceeded(f"yhz of {mu} has degree {degree}, over the cap of {YHZ_DEGREE_CAP}")
+    G, equations, p = F, [], n
+    for i, k in enumerate(s_sequence(mu)):
+        *steps, G = _steps(G, p, [*range(k if i else 0), k])
         equations += [S.coeff(j) for j, S in enumerate(steps)]
-        if k:  # s_(i+1) > 0 for i < mu_1 - 1: last is the next chain member
-            if symbolic and not last:
+        if k:  # s_(i+1) > 0 for i < mu_1 - 1: G is the next chain member
+            if symbolic and not G:
                 raise ChainDegenerate(f"G_{i + 1} vanishes identically for mu={mu}")
-            chain.append(last)
             p = k
-    inequation = last.coeff(0)
+    inequation = G.coeff(0)
     if symbolic and not inequation:
         raise ChainDegenerate(f"inequation vanishes identically for mu={mu}")
-    return YhzCondition(tuple(mu), tuple(chain), s, tuple(equations), inequation)
+    return YhzCondition(tuple(equations), inequation)
 
 
 def measured_size(cond):

@@ -7,8 +7,14 @@ the library code paths they validate.
 
 from itertools import permutations as iter_permutations
 
+from multdisc.linalg import Matrix
 from multdisc.sympoly import SymPoly
 from multdisc.unipoly import Poly
+
+
+def identity(k):
+    """The k x k identity matrix."""
+    return Matrix([[1 if i == j else 0 for j in range(k)] for i in range(k)])
 
 
 def naive_det(rows):

@@ -58,10 +58,10 @@ TABLE1_N8 = {
 # --format json, for every partition mu of n = 1..6 in partitions(n, m) order
 SYMBOLIC_STDOUT_SHA256 = "cdf546fc2ab2f939ad5cc98a9fd56b13ee57376af143c76e31508f88811cb6ed"
 
-# sha256 of the stdout of `table --n 7 --measure-upto 7 --format json`
+# sha256 of the stdout of `table --n 7 --measure --format json`
 TABLE_N7_JSON_SHA256 = "8ede7b506ba2fd77a935c9f5684b999ccabcbabbceb3be19129fcf2765da4321"
 
-# sha256 of the stdout of `table --n 10 --measure-upto 10 --format json`
+# sha256 of the stdout of `table --n 10 --measure --format json`
 TABLE_N10_JSON_SHA256 = "4876a144e99ca49cde98a148143ca7b82d4144ce6e50bc48adc2ab5dc3b7a5c1"
 
 ROUNDTRIP_TRIALS = 500
@@ -230,7 +230,7 @@ def test_criterion_9_measured_comparison_n7():
     start = time.perf_counter()
     for n, row_count in ((7, 12), (8, 19), (9, 27), (10, 39)):
         out = io.StringIO()
-        argv = ["table", "--n", str(n), "--measure-upto", str(n), "--format", "json"]
+        argv = ["table", "--n", str(n), "--measure", "--format", "json"]
         assert main(argv, out=out) == EXIT_OK
         if n in (7, 10):
             pin = TABLE_N7_JSON_SHA256 if n == 7 else TABLE_N10_JSON_SHA256

@@ -12,6 +12,7 @@ from fractions import Fraction
 import multdisc.discriminant as disc
 import multdisc.cli as cli
 import multdisc.suites as suites
+import multdisc.yhz as yhz
 from multdisc.cli import EXIT_ANOMALY, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from multdisc.combinat import partitions
 from multdisc.oracle import RootSpec, poly_from_roots, random_factored, random_instance
@@ -238,11 +239,17 @@ def test_dmu_eval_n9_to_12_is_pinned():
     assert digest.hexdigest() == DMU_EVAL_N9_12_SHA256
 
 
-def test_dmu_eval_over_the_newton_cap(capsys):
+def test_dmu_eval_over_the_newton_cap(monkeypatch, capsys):
     coeffs = ",".join(["1"] + ["0"] * 21 + ["-1"])
     code, text = run(["dmu", "--n", "22", "--mu", "6,5,4,3,2,1,1", "--eval", coeffs])
     assert code == EXIT_USAGE and text == ""
     assert capsys.readouterr().err.startswith("error: dmu of (6, 5, 4, 3, 2, 1, 1) needs 3175200 convolution terms")
+    # 1^180 is under the term cap, over the work cap, refused before any arithmetic
+    monkeypatch.setattr(disc, "_scaled_columns", None)
+    coeffs = ",".join(["1"] + ["0"] * 179 + ["-1"])
+    code, text = run(["dmu", "--n", "180", "--mu", ",".join(["1"] * 180), "--eval", coeffs])
+    assert code == EXIT_USAGE and text == ""
+    assert capsys.readouterr().err.endswith("needs prod_v (c_v + 1) n^3 = 1055592000, over the cap of 50000000\n")
 
 
 def test_dmu_bad_partition():
@@ -268,7 +275,7 @@ def test_dmu_cap(capsys):
         assert code == EXIT_USAGE and text == ""
 
 
-def test_yhz_symbolic_and_eval():
+def test_yhz_symbolic_and_eval(monkeypatch, capsys):
     code, text = run(["yhz", "--n", "4", "--mu", "3,1", "--format", "json"])
     assert code == EXIT_OK
     payload = json.loads(text)
@@ -290,6 +297,11 @@ def test_yhz_symbolic_and_eval():
     assert code == EXIT_OK
     assert "closed-form max degree: null\n" in text
     assert "degree lower bound: null\n" in text
+    # numeric (12, 12) is over the degree cap, refused before the chain
+    monkeypatch.setattr(yhz, "_steps", None)
+    code, text = run(["yhz", "--n", "24", "--mu", "12,12", "--eval", ",".join(["1"] + ["0"] * 23 + ["-1"])])
+    assert code == EXIT_USAGE and text == ""
+    assert capsys.readouterr().err == "error: yhz of (12, 12) has degree 531441, over the cap of 177147\n"
 
 
 def test_table_n8_has_every_partition_row():
@@ -331,28 +343,29 @@ def test_table_n4():
 
 
 def test_table_measured():
-    code, text = run(["table", "--n", "4", "--measure-upto", "4", "--format", "csv"])
+    code, text = run(["table", "--n", "4", "--measure", "--format", "csv"])
     assert code == EXIT_OK
     lines = text.strip().splitlines()
     assert lines[0].endswith("measured_d_new,measured_num_yhz,measured_d_yhz,match")
     assert all(line.endswith("true") for line in lines[1:])
-    code, text = run(["table", "--n", "8", "--measure-upto", "8", "--format", "json"])
+    code, text = run(["table", "--n", "8", "--measure", "--format", "json"])
     assert code == EXIT_OK
     rows = json.loads(text)
     assert len(rows) == 19 and all(row["match"] == "true" for row in rows)
 
 
-def test_table_rejects_negative_measure_upto(capsys):
-    assert run(["table", "--n", "5", "--measure-upto", "-1"]) == (EXIT_USAGE, "")
-    assert capsys.readouterr().err == "error: --measure-upto must be at least 0, got -1\n"
-    code, text = run(["table", "--n", "5", "--measure-upto", "0", "--format", "csv"])
+def test_table_measures_only_when_asked():
+    # --measure is a switch; the removed threshold is an unknown option
+    for value in ("5", "0", "-1"):
+        assert run(["table", "--n", "5", "--measure-upto", value]) == (EXIT_USAGE, "")
+    code, text = run(["table", "--n", "5", "--format", "csv"])
     assert code == EXIT_OK and "measured_d_new" not in text
 
 
 def test_table_measured_degenerate_point(monkeypatch):
     # D_mu vanishes at every point tried: the row reads degenerate
-    monkeypatch.setattr(cli, "dmu", lambda F, mu, **kw: disc.DmuResult(mu, "numeric", 0, 1, 1))
-    code, text = run(["table", "--n", "4", "--measure-upto", "4", "--format", "json"])
+    monkeypatch.setattr(cli, "dmu", lambda F, mu, **kw: disc.DmuResult(0, 1, 1))
+    code, text = run(["table", "--n", "4", "--measure", "--format", "json"])
     assert code == EXIT_OK
     for row in json.loads(text):
         assert row["match"] == "degenerate"
@@ -362,8 +375,8 @@ def test_table_measured_degenerate_point(monkeypatch):
 def test_table_measured_ratio_not_power_of_two(monkeypatch, capsys):
     # D_mu(2r) = 3 D_mu(r) is no homogeneous degree: an internal error
     values = iter([1, 3])
-    monkeypatch.setattr(cli, "dmu", lambda F, mu, **kw: disc.DmuResult(mu, "numeric", next(values), 1, 1))
-    code, text = run(["table", "--n", "4", "--measure-upto", "4"])
+    monkeypatch.setattr(cli, "dmu", lambda F, mu, **kw: disc.DmuResult(next(values), 1, 1))
+    code, text = run(["table", "--n", "4", "--measure"])
     assert code == EXIT_INTERNAL
     assert text == ""
     assert "is not a power of two" in capsys.readouterr().err

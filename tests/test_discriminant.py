@@ -48,7 +48,6 @@ F22 = parse_poly("1,0,-2,0,1")  # (x^2-1)^2
 
 def test_symbolic_quartic_is_the_known_condition():
     result = dmu(generic_poly(4), (3, 1))
-    assert result.mode == "symbolic"
     assert result.term_count == 4
     assert result.matrix_dim == 7
     assert result.value == SymPoly(5, C1_PRIME)
@@ -384,15 +383,16 @@ def test_classify_report_on_factored_inputs(seed, n, digits, den):
 
 
 def test_classify_high_degree_closed_form():
-    # (k, k-1, ..., 1) at n = 21, 28, 45, and at n = 21 with roots of up to
-    # 100 digits (coefficients of about 2,100): the one nonzero certificate
+    # (k, k-1, ..., 1) at n = 21, 28, 45, at n = 21 with roots of up to 100
+    # digits (coefficients of about 2,100), and (2, 2, 1^56) at n = 60, a
+    # large Yun part and certificate resultant: the one nonzero certificate
     # is lc^(n - 1) prod_j T_(m_j)(r_j)^(m_j), computed from the known roots
     rng = random.Random(45)
-    for k, digits in ((6, 1), (7, 1), (9, 1), (6, 100)):
-        mults = tuple(range(k, 0, -1))
-        n = sum(mults)
-        if digits == 1:
-            roots = rng.sample(range(-9, 10), k)
+    shapes = [(tuple(range(k, 0, -1)), digits) for k, digits in ((6, 1), (7, 1), (9, 1), (6, 100))]
+    for mults, digits in shapes + [((2, 2) + (1,) * 56, 3)]:
+        k, n = len(mults), sum(mults)
+        if digits < 100:
+            roots = rng.sample(range(1 - 10**digits, 10**digits), k)
         else:
             roots = [rng.randrange(1 - 10**digits, 10**digits) for _ in range(k)]
         spec = RootSpec(roots=tuple(roots), mults=mults, lead=rng.choice((-2, 3)))
@@ -436,6 +436,20 @@ def test_dmu_newton_cap(monkeypatch):
     # the largest partition of n = 21, 1,587,600 terms, is admitted
     with pytest.raises(RuntimeError, match="columns built"):
         dmu(Poly([1] + [0] * 20 + [-1]), (6, 5, 4, 3, 2, 1))
+    # the matrix-vector work prod_v (c_v + 1) n^3 is bounded too: 1^180 has
+    # only 16,471 convolution terms but took 104 s
+    for n in (84, 180):
+        with pytest.raises(CapExceeded, match=r"needs prod_v \(c_v \+ 1\) n\^3 = \d+, over the cap of 50000000"):
+            dmu(Poly([1] + [0] * (n - 1) + [-1]), (1,) * n)
+    with pytest.raises(RuntimeError, match="columns built"):
+        dmu(Poly([1] + [0] * 82 + [-1]), (1,) * 83)
+    # every partition of n <= 21 is admitted by both caps
+    for n in range(1, 22):
+        F = Poly([1] + [0] * (n - 1) + [-1])
+        for m in range(1, n + 1):
+            for mu in partitions(n, m):
+                with pytest.raises(RuntimeError, match="columns built"):
+                    dmu(F, mu)
 
 
 def test_classify_candidate_cap():

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import multdisc
@@ -148,3 +149,57 @@ def test_the_scan_sees_an_unpassed_default():
     )
     assert _unpassed_defaults({"a": tree}) == ["a.K.make(v)", "a.f(c)", "a.main(argv)"]
     assert _unpassed_defaults({"a": tree}, exempt={"a.main"}) == ["a.K.make(v)", "a.f(c)"]
+
+
+def _name_reads(node):
+    """How often each Name id and attribute name occurs under node."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def _unreferenced_methods(modules, exempt=()):
+    """The methods, as "module.Class.method", whose name no statement outside their own body reads.
+
+    Names are matched alone, so a read of any attribute or name of that
+    spelling counts.  Dunders are called by the language and are skipped.
+    """
+    uses = sum(map(_name_reads, modules.values()), Counter())
+    unread = []
+    for module, tree in modules.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("__"):
+                    continue
+                qualname = f"{module}.{cls.name}.{node.name}"
+                if uses[node.name] == _name_reads(node)[node.name] and qualname not in exempt:
+                    unread.append(qualname)
+    return sorted(unread)
+
+
+# kept without a caller in the package: the tests use them as oracles
+ORACLE_METHODS = {"sympoly.SymPoly.evaluate", "sympoly.SymPoly.is_homogeneous"}
+
+
+def test_every_method_is_referenced():
+    # a method only the tests call is a capability the library does not use
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SOURCE.glob("*.py"))}
+    assert _unreferenced_methods(modules, exempt=ORACLE_METHODS) == []
+
+
+def test_the_scan_sees_an_unreferenced_method():
+    # a call from its own body does not count; a read in another module or class does
+    a = ast.parse(
+        "class K:\n    def __len__(self):\n        return 0\n\n"
+        "    def used(self):\n        return 1\n\n"
+        "    def recursive(self, k):\n        return self.recursive(k - 1)\n\n"
+        "    @classmethod\n    def kept(cls):\n        return cls()\n\n"
+        "    def oracle(self):\n        return 2\n"
+    )
+    b = ast.parse("from a import K\nx = K().used()\ny = K.kept\n")
+    assert _unreferenced_methods({"a": a, "b": b}, exempt={"a.K.oracle"}) == ["a.K.recursive"]
+    assert _unreferenced_methods({"a": a}) == ["a.K.kept", "a.K.oracle", "a.K.recursive", "a.K.used"]

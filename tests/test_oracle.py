@@ -26,6 +26,8 @@ from multdisc.oracle import (
 from multdisc.sympoly import SymPoly
 from multdisc.unipoly import Poly, parse_poly
 
+from helpers import identity
+
 
 def test_poly_from_roots_examples():
     spec = RootSpec(roots=(1, -2), mults=(3, 1), lead=1)
@@ -134,11 +136,11 @@ def test_det_per_identity_random_and_identity():
         A = Matrix([[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)])
         B = Matrix([[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)])
         assert check_det_per_identity(A, B)
-    eye = Matrix.identity(3)
+    eye = identity(3)
     B = Matrix([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
     assert check_det_per_identity(eye, B)
     with pytest.raises(DimensionMismatch):
-        check_det_per_identity(eye, Matrix.identity(2))
+        check_det_per_identity(eye, identity(2))
 
 
 def test_dp_ratio_paper_cubic():

@@ -8,6 +8,7 @@ from multdisc.discriminant import dmu
 from multdisc.errors import CapExceeded, DegreeMismatch
 from multdisc.oracle import RootSpec, poly_from_roots, random_instance
 from multdisc.sympoly import SymPoly
+from multdisc import yhz
 from multdisc.unipoly import Poly, generic_poly, parse_poly
 from multdisc.yhz import (
     _steps,
@@ -124,13 +125,31 @@ def test_symbolic_sizes_match_closed_forms_up_to_5():
                 assert measured_size(cond) == (yhz_count(mu), yhz_degree(mu))
 
 
-def test_condition_guards():
+def test_condition_guards(monkeypatch):
     with pytest.raises(DegreeMismatch):
         yhz_condition(generic_poly(4), (1, 1, 1, 1))  # mu_1 < 2
     with pytest.raises(DegreeMismatch):
         yhz_condition(generic_poly(4), (3, 2))
     with pytest.raises(CapExceeded):
         yhz_condition(generic_poly(8), (7, 1))
+
+    # numeric F is capped at closed-form degree 3^11, checked before the
+    # chain: (12, 12) has degree 3^12 and took 67 s
+    def reached(G, p, ks):
+        raise RuntimeError("chain reached")
+
+    monkeypatch.setattr(yhz, "_steps", reached)
+    with pytest.raises(CapExceeded, match="has degree 531441, over the cap of 177147"):
+        yhz_condition(Poly([1] + [0] * 23 + [-1]), (12, 12))
+    # every partition of n <= 22 is admitted, (11, 11) at exactly the cap
+    assert yhz_degree((11, 11)) == 3**11
+    for n in range(4, 23):
+        F = Poly([1] + [0] * (n - 1) + [-1])
+        for m in range(1, n + 1):
+            for mu in partitions(n, m):
+                if mu[0] >= 2:
+                    with pytest.raises(RuntimeError, match="chain reached"):
+                        yhz_condition(F, mu)
 
 
 def test_numeric_truth_agrees_with_structure_and_discriminant():
