@@ -19,7 +19,7 @@ from .discriminant import (
     dmu_rows,
     psd_sequence,
 )
-from .linalg import Matrix, det, dp, hadamard, permanent, row_permute
+from .linalg import det, dp, hadamard, permanent, row_permute
 from .oracle import (
     RootSpec,
     check_det_per_identity,

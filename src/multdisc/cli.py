@@ -10,9 +10,10 @@ one JSON line) and the command's text rendering.  classify --file writes
 each report as soon as its line is classified and stops at the first bad
 line, naming it as "line K".
 
-Exit codes: 0 success, 1 usage/parse errors, 2 mathematical anomalies
-(ambiguous classification, degenerate chains, failing verify suites),
-3 internal errors.
+Exit codes: 0 success, 1 usage/parse errors (MultdiscError, any other
+ValueError, OSError), 2 mathematical anomalies (Anomaly: ambiguous
+classification, degenerate chains; and failing verify suites), 3 internal
+errors (NonExactDivision and every other exception).
 """
 
 import argparse
@@ -24,14 +25,7 @@ from dataclasses import asdict
 
 from .combinat import parse_partition, partition_count, partitions
 from .discriminant import CANDIDATE_CAP, classify_report, dmu, dmu_degree
-from .errors import (
-    AmbiguousClassification,
-    CapExceeded,
-    ChainDegenerate,
-    MultdiscError,
-    ParseError,
-    ZeroLead,
-)
+from .errors import Anomaly, MultdiscError
 from .scalars import format_scalar, parse_scalar
 from .suites import SUITES, run_suite
 from .unipoly import Poly, generic_poly, parse_poly
@@ -61,19 +55,19 @@ def _parse_mu(text, n):
     try:
         mu = parse_partition(text)
     except ValueError as exc:
-        raise ParseError(f"bad partition {text!r}: {exc}") from exc
+        raise MultdiscError(f"bad partition {text!r}: {exc}") from exc
     if sum(mu) != n:
-        raise ParseError(f"{_mu_str(mu)} does not partition n = {n}")
+        raise MultdiscError(f"{_mu_str(mu)} does not partition n = {n}")
     return mu
 
 
 def _parse_input_poly(text, degree=None):
-    poly = parse_poly(text)  # raises ParseError on an empty field
+    poly = parse_poly(text)  # raises on an empty field
     # Poly drops leading zeros, so the lead is checked on the raw field
     if not parse_scalar(text.split(",", 1)[0]):
-        raise ZeroLead(f"leading coefficient is zero: {text!r}")
+        raise MultdiscError(f"leading coefficient is zero: {text!r}")
     if degree is not None and poly.degree != degree:
-        raise ParseError(f"--eval polynomial has degree {poly.degree}, expected {degree}")
+        raise MultdiscError(f"--eval polynomial has degree {poly.degree}, expected {degree}")
     return poly
 
 
@@ -101,7 +95,7 @@ def _classify_one(text):
 
 def cmd_classify(args, out):
     if bool(args.coeffs) == bool(args.file):
-        raise ParseError("exactly one of --coeffs or --file is required")
+        raise MultdiscError("exactly one of --coeffs or --file is required")
     digits = args.truncate_digits
     if args.coeffs:
         report = _classify_one(args.coeffs)
@@ -135,7 +129,7 @@ def _batch_line(line, report, digits):
 def cmd_dmu(args, out):
     mu = _parse_mu(args.mu, args.n)
     if bool(args.symbolic) == bool(args.eval):
-        raise ParseError("exactly one of --symbolic or --eval is required")
+        raise MultdiscError("exactly one of --symbolic or --eval is required")
     F = generic_poly(args.n) if args.symbolic else _parse_input_poly(args.eval, args.n)
     result = dmu(F, mu)
     value = result.value
@@ -265,13 +259,13 @@ def _table_rows(n, measure):
 def cmd_table(args, out):
     n = args.n
     if n < 1:
-        raise ParseError(f"--n must be at least 1, got {n}")
+        raise MultdiscError(f"--n must be at least 1, got {n}")
     # degree k has p(k) - 3 rows for k >= 3, growing with k, so the first
     # k <= n over the cap refuses n at a bounded cost, however large n is
     for k in range(1, n + 1):
         if (count := sum(partition_count(k, m) for m in range(2, k - 1))) > CANDIDATE_CAP:
             more = "" if k == n else "more than "
-            raise CapExceeded(f"table --n {n} has {more}{count} rows, over the cap of {CANDIDATE_CAP}")
+            raise MultdiscError(f"table --n {n} has {more}{count} rows, over the cap of {CANDIDATE_CAP}")
     rows = _table_rows(n, args.measure)
     columns = ["n", "m", "mu", "num_new", "num_yhz", "d_new", "d_yhz"]
     if rows and "measured_d_new" in rows[0]:
@@ -299,7 +293,7 @@ def _csv_cell(value):
 
 def cmd_verify(args, out):
     if args.trials < 1:
-        raise ParseError(f"--trials must be at least 1, got {args.trials}")
+        raise MultdiscError(f"--trials must be at least 1, got {args.trials}")
     result = run_suite(args.suite, args.trials, args.seed)
     _emit(args, out, asdict(result), lambda: [
         f"suite {result.suite}: {result.passed}/{result.trials} trials passed",
@@ -372,12 +366,12 @@ def main(argv=None, out=None):
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         if getattr(args, "truncate_digits", 0) < 0:
-            raise ParseError(f"--truncate-digits must be at least 0, got {args.truncate_digits}")
+            raise MultdiscError(f"--truncate-digits must be at least 0, got {args.truncate_digits}")
         return COMMANDS[args.command](args, out)
-    except (AmbiguousClassification, ChainDegenerate) as exc:
+    except Anomaly as exc:
         print(f"anomaly: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
-    except (MultdiscError, OSError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # internal failures

@@ -8,7 +8,7 @@ streamed in ascending lexicographic order and never materialised.
 
 from math import factorial
 
-from .errors import EmptyDomain
+from .errors import MultdiscError
 
 
 def check_partition(mu):
@@ -36,7 +36,7 @@ def partitions(n, m):
     as fit, one remainder part, then ones.
     """
     if m < 1 or m > n:
-        raise EmptyDomain(f"no partitions of {n} into {m} parts")
+        raise MultdiscError(f"no partitions of {n} into {m} parts")
     a = [n - m + 1] + [1] * (m - 1)
     out = [tuple(a)]
     while True:

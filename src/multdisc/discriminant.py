@@ -33,7 +33,7 @@ division of integers.  Every other candidate with m parts has
 D_nu = 0 by the theorem, and is reported as 0 without evaluating it.
 If the part counts of the psd and of Yun disagree, or the certificate is
 0 or not an integer, the theorem or the code is wrong, and classify
-raises AmbiguousClassification.  `verify --suite certificates` runs the
+raises Anomaly.  `verify --suite certificates` runs the
 exhaustive check: dmu on every candidate, against classify's report.
 
 D_mu is not computed as one determinant per rearrangement.  Write lc for
@@ -61,7 +61,7 @@ coefficient ring:
   in Z at each step.  The work is prod_v (c_v + 1) products of an n x n
   matrix by a vector and prod_v (c_v + 1)(c_v + 2)/2 convolution terms,
   both known from mu before any arithmetic; above NEWTON_CAP terms, or
-  above NEWTON_WORK_CAP for prod_v (c_v + 1) n^3, dmu raises CapExceeded
+  above NEWTON_WORK_CAP for prod_v (c_v + 1) n^3, dmu raises MultdiscError
   at once.
 * linalg.wedge_dp, for SymPoly F (the generic F, where lc is the variable
   a_0), with the M_v as its sources.  The determinant is multilinear in
@@ -81,12 +81,7 @@ from math import factorial, gcd, prod
 from operator import mul
 
 from .combinat import check_partition, expand_partition, partition_count, partitions, permutation_count
-from .errors import (
-    AmbiguousClassification,
-    CapExceeded,
-    DegreeMismatch,
-    ZeroPolynomial,
-)
+from .errors import Anomaly, MultdiscError
 from .linalg import wedge_dp
 from .scalars import clear_denominators, exact_div
 from .subresultants import pseudo_rem, subresultant_chain
@@ -136,7 +131,7 @@ def dmu_degree(n, mu):
     """Total degree of D_mu in the coefficients: 2n - mu_m."""
     mu = check_partition(mu)
     if sum(mu) != n:
-        raise DegreeMismatch(f"{mu} is not a partition of {n}")
+        raise MultdiscError(f"{mu} is not a partition of {n}")
     return 2 * n - mu[-1]
 
 
@@ -144,7 +139,7 @@ def dmu_rows(n, mu, sigma, F):
     """The 2n - mu_m stacked polynomials for one derivative-order assignment."""
     mu = check_partition(mu)
     if F.degree != n or sum(mu) != n:
-        raise DegreeMismatch(f"need deg F = sum(mu) = {n}")
+        raise MultdiscError(f"need deg F = sum(mu) = {n}")
     if sorted(sigma) != sorted(expand_partition(mu)):
         raise ValueError(f"{sigma} is not a rearrangement of the expanded tuple")
     rows = [F.shift_mul(s) for s in range(n - mu[-1] - 1, -1, -1)]
@@ -236,14 +231,14 @@ def dmu(F, mu):
     zero/nonzero verdict is unaffected and the reported value is the one
     for the scaled integer polynomial.  Symbolic F is capped at degree
     SYMBOLIC_CAP, numeric F at NEWTON_CAP convolution terms and at
-    NEWTON_WORK_CAP matrix-vector work (CapExceeded).
+    NEWTON_WORK_CAP matrix-vector work (MultdiscError).
     """
     mu = check_partition(mu)
     if not F:
-        raise ZeroPolynomial("dmu of the zero polynomial")
+        raise MultdiscError("dmu of the zero polynomial")
     n = F.degree
     if sum(mu) != n:
-        raise DegreeMismatch(f"{mu} does not partition deg F = {n}")
+        raise MultdiscError(f"{mu} does not partition deg F = {n}")
     dim = 2 * n - mu[-1]
     term_count = permutation_count(expand_partition(mu))
     values = sorted(set(mu))
@@ -254,7 +249,7 @@ def dmu(F, mu):
     symbolic = F.is_symbolic()
     if symbolic:
         if n > SYMBOLIC_CAP:
-            raise CapExceeded(f"symbolic dmu capped at degree {SYMBOLIC_CAP}")
+            raise MultdiscError(f"symbolic dmu capped at degree {SYMBOLIC_CAP}")
         _, cols = _scaled_columns(F, values)
         wedge = wedge_dp(cols, c)
         total = wedge.get((1 << n) - 1, 0)
@@ -263,9 +258,9 @@ def dmu(F, mu):
         value = sympoly_div(total, F.lead ** (d_c - (n - mu[-1])))
     else:
         if (terms := prod((ck + 1) * (ck + 2) // 2 for ck in c)) > NEWTON_CAP:
-            raise CapExceeded(f"dmu of {mu} needs {terms} convolution terms, over the cap of {NEWTON_CAP}")
+            raise MultdiscError(f"dmu of {mu} needs {terms} convolution terms, over the cap of {NEWTON_CAP}")
         if (work := prod(ck + 1 for ck in c) * n**3) > NEWTON_WORK_CAP:
-            raise CapExceeded(f"dmu of {mu} needs prod_v (c_v + 1) n^3 = {work}, over the cap of {NEWTON_WORK_CAP}")
+            raise MultdiscError(f"dmu of {mu} needs prod_v (c_v + 1) n^3 = {work}, over the cap of {NEWTON_WORK_CAP}")
         ints, _ = clear_denominators(list(F.coeffs))
         F = Poly(ints)
         g, cols = _scaled_columns(F, values)
@@ -284,10 +279,10 @@ def psd_sequence(F):
     normalisation-independent.
     """
     if not F:
-        raise ZeroPolynomial("psd sequence of the zero polynomial")
+        raise MultdiscError("psd sequence of the zero polynomial")
     n = F.degree
     if n < 1:
-        raise DegreeMismatch("psd sequence needs degree >= 1")
+        raise MultdiscError("psd sequence needs degree >= 1")
     ints, _ = clear_denominators(list(F.coeffs))
     Fz = Poly(ints)
     chain = subresultant_chain(Fz, Fz.derivative())
@@ -346,12 +341,12 @@ def _certify(F, g, m):
         num *= subresultant_chain(f, r)[0].coeff(0) ** i
         den *= f.lead ** (i * (r.degree + (t.degree - f.degree + 1) * f.degree))
     if len(mu) != m:
-        raise AmbiguousClassification(f"the psd counts {m} distinct roots, Yun's decomposition {len(mu)}: {mu}")
+        raise Anomaly(f"the psd counts {m} distinct roots, Yun's decomposition {len(mu)}: {mu}")
     value, rest = divmod(F.lead ** (n - mu[-1]) * num, den)
     if rest:
-        raise AmbiguousClassification(f"the certificate of {mu} is not an integer")
+        raise Anomaly(f"the certificate of {mu} is not an integer")
     if not value:
-        raise AmbiguousClassification(f"the certificate of {mu} is 0")
+        raise Anomaly(f"the certificate of {mu} is 0")
     return mu, value
 
 
@@ -360,19 +355,19 @@ def classify_report(F):
 
     Candidates other than the structure read 0 by the paper's theorem;
     see the module docstring.  They are counted before they are listed,
-    and more than CANDIDATE_CAP of them raise CapExceeded.
+    and more than CANDIDATE_CAP of them raise MultdiscError.
     """
     if not F:
-        raise ZeroPolynomial("cannot classify the zero polynomial")
+        raise MultdiscError("cannot classify the zero polynomial")
     n = F.degree
     if n < 1:
-        raise DegreeMismatch("cannot classify a constant: it has no roots")
+        raise MultdiscError("cannot classify a constant: it has no roots")
     ints, _ = clear_denominators(list(F.coeffs))
     F = Poly(ints)
     report = psd_sequence(F)
     m = report.ndr
     if (count := partition_count(n, m)) > CANDIDATE_CAP:
-        raise CapExceeded(f"{count} candidate structures for degree {n}, over the cap of {CANDIDATE_CAP}")
+        raise MultdiscError(f"{count} candidate structures for degree {n}, over the cap of {CANDIDATE_CAP}")
     candidates = partitions(n, m)
     if len(candidates) == 1:  # m in {1, n - 1, n}
         return ClassifyReport(n, m, candidates[0], ())

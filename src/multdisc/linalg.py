@@ -24,67 +24,42 @@ k + 1 coefficients for about the cost of one determinant.
 dets_with_last_row is the one place that chooses Bareiss or wedge_dp by
 the coefficient ring.
 
-Permanents use Ryser's inclusion-exclusion with a Gray-code walk and are
-capped, since the permanent only ever backs small oracle computations.
+A matrix is a sequence of equal-length rows, and each function checks
+the shape it needs at entry.  Permanents use Ryser's inclusion-exclusion
+with a Gray-code walk and are capped, since the permanent only ever backs
+small oracle computations.
 """
 
 from fractions import Fraction
 
-from .errors import CapExceeded, DegreeTooHigh, DimensionMismatch, NotSquare
+from .errors import MultdiscError
 from .scalars import exact_div, in_z
 from .sympoly import SymPoly, sum_of_products
 
 PERMANENT_CAP = 14
 
 
-class Matrix:
-    """Immutable row-major matrix over a commutative ring."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise DimensionMismatch("ragged rows")
-        self.rows = rows
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
-    def is_square(self):
-        return self.nrows == self.ncols
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.nrows == other.nrows and all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
-
-    def __matmul__(self, other):
-        if self.ncols != other.nrows:
-            raise DimensionMismatch("inner dimensions differ")
-        cols = list(zip(*other.rows))
-        return Matrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def __repr__(self):
-        return f"Matrix({[list(r) for r in self.rows]!r})"
+def _shape(rows):
+    """(row count, column count) of a matrix given as a sequence of rows; ragged rows raise."""
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise MultdiscError("ragged rows")
+    return len(rows), ncols
 
 
-def det(m):
-    """Exact determinant; zero is returned for singular matrices."""
-    if not m.is_square():
-        raise NotSquare(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    if m.nrows == 0:
+def _square(rows, what):
+    """The size of a square matrix given as rows, else a MultdiscError naming what needs it."""
+    nrows, ncols = _shape(rows)
+    if nrows != ncols:
+        raise MultdiscError(f"{what} of a {nrows}x{ncols} matrix")
+    return nrows
+
+
+def det(rows):
+    """Exact determinant of a square matrix given as rows; zero for a singular one."""
+    if not _square(rows, "determinant"):
         return 1
-    return dets_with_last_row(m.rows[:-1], m.rows[-1:])[0]
+    return dets_with_last_row(rows[:-1], rows[-1:])[0]
 
 
 def dets_with_last_row(rows, lasts):
@@ -210,16 +185,14 @@ def wedge_dp(sources, counts):
     return wedge
 
 
-def permanent(m):
-    """Exact permanent via Ryser's formula with Gray-code row sums."""
-    if not m.is_square():
-        raise NotSquare(f"permanent of a {m.nrows}x{m.ncols} matrix")
-    n = m.nrows
+def permanent(rows):
+    """Exact permanent of a square matrix given as rows, via Ryser's formula with Gray-code row sums."""
+    n = _square(rows, "permanent")
     if n == 0:
         return 1
     if n > PERMANENT_CAP:
-        raise CapExceeded(f"permanent of size {n} exceeds cap {PERMANENT_CAP}")
-    cols = list(zip(*m.rows))
+        raise MultdiscError(f"permanent of size {n} exceeds cap {PERMANENT_CAP}")
+    cols = list(zip(*rows))
     sums = [0] * n
     included = [False] * n
     size = 0
@@ -247,23 +220,21 @@ def permanent(m):
 
 
 def hadamard(a, b):
-    """Entrywise product."""
-    if a.nrows != b.nrows or a.ncols != b.ncols:
-        raise DimensionMismatch("hadamard product needs equal shapes")
-    return Matrix(
-        [[x * y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
-    )
+    """Entrywise product of two matrices given as rows."""
+    if _shape(a) != _shape(b):
+        raise MultdiscError("hadamard product needs equal shapes")
+    return [[x * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def row_permute(tau, m):
+def row_permute(tau, rows):
     """Apply the permutation matrix P_tau on the left: row k moves to row tau(k)."""
-    n = m.nrows
+    n, _ = _shape(rows)
     if len(tau) != n or sorted(tau) != list(range(n)):
-        raise DimensionMismatch(f"tau must be a permutation of 0..{n - 1}")
+        raise MultdiscError(f"tau must be a permutation of 0..{n - 1}")
     inv = [0] * n
     for k, t in enumerate(tau):
         inv[t] = k
-    return Matrix([m.rows[inv[i]] for i in range(n)])
+    return [rows[inv[i]] for i in range(n)]
 
 
 def dp(polys):
@@ -279,6 +250,6 @@ def dp(polys):
         raise ValueError("dp of an empty stack")
     for p in polys:
         if p.degree >= size:
-            raise DegreeTooHigh(f"degree {p.degree} row in a {size}-row stack")
+            raise MultdiscError(f"degree {p.degree} row in a {size}-row stack")
     rows = [[p.coeff(size - 1 - j) for j in range(size)] for p in polys]
-    return det(Matrix(rows))
+    return det(rows)

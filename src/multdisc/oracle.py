@@ -23,16 +23,8 @@ from math import gcd, isqrt
 
 from .combinat import expand_partition, multiset_permutations, partitions, repetition_constant
 from .discriminant import dmu_rows
-from .errors import (
-    DegreeMismatch,
-    DegreeTooHigh,
-    DimensionMismatch,
-    DuplicateRoots,
-    EmptyDomain,
-    RootMismatch,
-    ZeroLead,
-)
-from .linalg import Matrix, det, dp, hadamard, permanent, row_permute
+from .errors import MultdiscError
+from .linalg import det, dp, hadamard, permanent, row_permute
 from .scalars import exact_div
 from .unipoly import Poly
 
@@ -57,15 +49,15 @@ class RootSpec:
 
 def _validate(spec):
     if len(spec.roots) != len(spec.mults):
-        raise DimensionMismatch("roots and multiplicities differ in length")
+        raise MultdiscError("roots and multiplicities differ in length")
     if not spec.lead:
-        raise ZeroLead("leading coefficient must be nonzero")
+        raise MultdiscError("leading coefficient must be nonzero")
     if any(not isinstance(m, int) or m < 1 for m in spec.mults):
         raise ValueError("multiplicities must be positive integers")
     for i, r in enumerate(spec.roots):
         for other in spec.roots[i + 1 :]:
             if r == other:
-                raise DuplicateRoots(f"root {r} listed twice")
+                raise MultdiscError(f"root {r} listed twice")
 
 
 def poly_from_roots(spec):
@@ -89,15 +81,15 @@ def dbar_mu(F, alphas, mu):
     n = F.degree
     p = expand_partition(mu)
     if len(alphas) != n or len(p) != n:
-        raise DegreeMismatch("need deg F = sum(mu) = len(alphas)")
+        raise MultdiscError("need deg F = sum(mu) = len(alphas)")
     for a in alphas:
         if F(a):
-            raise RootMismatch(f"{a} is not a root")
+            raise MultdiscError(f"{a} is not a root")
     rows = []
     for order in p:
         t = F.taylor_derivative(order)
         rows.append([t(a) for a in alphas])
-    per = permanent(Matrix(rows))
+    per = permanent(rows)
     return exact_div(per, repetition_constant(p))
 
 
@@ -115,9 +107,9 @@ def dmu_by_stacks(F, mu):
 
 def check_det_per_identity(A, B):
     """sum over tau of det(A o P_tau B) == det(A) * per(B), exactly."""
-    if A.nrows != B.nrows or A.ncols != B.ncols:
-        raise DimensionMismatch("matrices must have equal shapes")
-    n = A.nrows
+    n = len(A)
+    if len(B) != n or any(len(a) != len(b) for a, b in zip(A, B)):
+        raise MultdiscError("matrices must have equal shapes")
     lhs = 0
     for tau in permutations(range(n)):
         lhs = lhs + det(hadamard(A, row_permute(tau, B)))
@@ -134,18 +126,18 @@ def check_dp_ratio(F, roots, G):
     """
     n = F.degree
     if len(roots) != n:
-        raise DegreeMismatch("need one root per degree")
+        raise MultdiscError("need one root per degree")
     if len(set(roots)) != n:
-        raise DuplicateRoots("roots must be pairwise distinct")
+        raise MultdiscError("roots must be pairwise distinct")
     G = list(G)
     if len(G) != n:
-        raise DimensionMismatch(f"need exactly {n} stacked polynomials")
+        raise MultdiscError(f"need exactly {n} stacked polynomials")
     for g in G:
         if g.degree > 2 * n - 2:
-            raise DegreeTooHigh("stacked polynomial degree exceeds 2n - 2")
+            raise MultdiscError("stacked polynomial degree exceeds 2n - 2")
     stack = [F.shift_mul(s) for s in range(n - 2, -1, -1)] + G
-    lhs = dp(stack) * det(Matrix([[a ** (n - 1 - i) for a in roots] for i in range(n)]))
-    rhs = F.lead ** (n - 1) * det(Matrix([[g(a) for a in roots] for g in G]))
+    lhs = dp(stack) * det([[a ** (n - 1 - i) for a in roots] for i in range(n)])
+    rhs = F.lead ** (n - 1) * det([[g(a) for a in roots] for g in G])
     return lhs == rhs
 
 
@@ -153,7 +145,7 @@ def random_instance(seed, n, m):
     """Deterministic random root specification: m distinct integer roots
     in [-9, 9], multiplicities a uniformly chosen partition of n into m parts."""
     if m < 1 or m > n:
-        raise EmptyDomain(f"no root structure with {m} distinct roots for degree {n}")
+        raise MultdiscError(f"no root structure with {m} distinct roots for degree {n}")
     rng = random.Random(seed)
     roots = tuple(rng.sample(range(-9, 10), m))
     mults = rng.choice(partitions(n, m))
@@ -169,7 +161,7 @@ def random_factored(seed, n, digits=2):
     or two complex conjugate roots), coefficients below 10^digits and a
     lead in +-1..3.  Returns (F, structure)."""
     if n < 1:
-        raise EmptyDomain(f"no factored instance of degree {n}")
+        raise MultdiscError(f"no factored instance of degree {n}")
     rng = random.Random(seed)
     bound = 10**digits - 1
     factors, parts = set(), []

@@ -24,7 +24,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
-from .errors import NonExactDivision, ParseError
+from .errors import MultdiscError, NonExactDivision
 
 
 def in_z(values):
@@ -56,12 +56,12 @@ def parse_scalar(text):
         limit = sys.get_int_max_str_digits()
         digits = max(sum(ch.isdigit() for ch in part) for part in text.split("/"))
         if limit and digits > limit:
-            raise ParseError(
+            raise MultdiscError(
                 f"a coefficient of {digits} digits is over the {limit}-digit limit: {text[:20]!r}..."
             ) from exc
         if len(text) > 20:
-            raise ParseError(f"not an exact scalar: {text[:20]!r}... ({len(text)} characters)") from exc
-        raise ParseError(f"not an exact scalar: {text!r}") from exc
+            raise MultdiscError(f"not an exact scalar: {text[:20]!r}... ({len(text)} characters)") from exc
+        raise MultdiscError(f"not an exact scalar: {text!r}") from exc
 
 
 def format_scalar(value):

@@ -30,8 +30,8 @@ Two routes compute the same chain:
 resultant is det of the Sylvester matrix, S_0's full square matrix.
 """
 
-from .errors import DegreeOutOfRange, ZeroPolynomial
-from .linalg import Matrix, det, dets_with_last_row
+from .errors import MultdiscError
+from .linalg import det, dets_with_last_row
 from .scalars import exact_div
 from .unipoly import Poly
 
@@ -63,12 +63,12 @@ def pseudo_rem(P, Q):
 def _degrees(P, Q, k):
     """(deg P, deg Q), checked: both nonzero, deg P > deg Q and 0 <= k <= deg Q."""
     if not P or not Q:
-        raise ZeroPolynomial("subresultant of the zero polynomial")
+        raise MultdiscError("subresultant of the zero polynomial")
     p, q = P.degree, Q.degree
     if p <= q:
         raise ValueError("subresultants need deg P > deg Q")
     if not 0 <= k <= q:
-        raise DegreeOutOfRange(f"subresultant index {k} outside 0..{q}")
+        raise MultdiscError(f"subresultant index {k} outside 0..{q}")
     return p, q
 
 
@@ -137,4 +137,4 @@ def subresultant_det(P, Q, k):
 def resultant(P, Q):
     """res(P, Q) for deg P > deg Q: det of the Sylvester matrix, S_0's matrix."""
     p, q = _degrees(P, Q, 0)
-    return det(Matrix(_sylvester_rows(P, Q, 0, p + q)))
+    return det(_sylvester_rows(P, Q, 0, p + q))

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .combinat import partitions
 from .discriminant import classify, classify_report, dmu, dmu_degree, psd_sequence
-from .errors import UnknownSuite
-from .linalg import Matrix, dp
+from .errors import MultdiscError
+from .linalg import dp
 from .oracle import (
     RootSpec,
     check_det_per_identity,
@@ -54,16 +54,16 @@ def _translate(F, t):
 
 def anchor_lemma2():
     nv = 8
-    A = Matrix([[SymPoly.variable(nv, i * 2 + j) for j in (0, 1)] for i in (0, 1)])
-    B = Matrix([[SymPoly.variable(nv, 4 + i * 2 + j) for j in (0, 1)] for i in (0, 1)])
+    A = [[SymPoly.variable(nv, i * 2 + j) for j in (0, 1)] for i in (0, 1)]
+    B = [[SymPoly.variable(nv, 4 + i * 2 + j) for j in (0, 1)] for i in (0, 1)]
     return None if check_det_per_identity(A, B) else "symbolic 2x2 instance failed"
 
 
 def trial_lemma2(rng, trial):
     k = rng.randint(1, 5)
-    a = Matrix([[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)])
-    b = Matrix([[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)])
-    return None if check_det_per_identity(a, b) else f"size {k}, A={a.rows}, B={b.rows}"
+    a = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+    b = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+    return None if check_det_per_identity(a, b) else f"size {k}, A={a}, B={b}"
 
 
 def anchor_lemma3():
@@ -178,7 +178,7 @@ def run_suite(name, trials, seed):
     try:
         trial_fn = SUITES[name]
     except KeyError:
-        raise UnknownSuite(
+        raise MultdiscError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         ) from None
     anchor = ANCHORS.get(name)

@@ -16,7 +16,7 @@ the chain it returns.
 from fractions import Fraction
 from math import comb
 
-from .errors import DegreeMismatch, NonExactDivision
+from .errors import MultdiscError, NonExactDivision
 from .scalars import exact_div, format_scalar, in_z, parse_scalar
 from .sympoly import SymPoly
 
@@ -183,7 +183,7 @@ def parse_poly(text):
 def generic_poly(n):
     """Degree-n polynomial with symbolic coefficients a_0 x^n + ... + a_n."""
     if n < 0:
-        raise DegreeMismatch("generic polynomial needs degree >= 0")
+        raise MultdiscError("generic polynomial needs degree >= 0")
     nv = n + 1
     return Poly([SymPoly.variable(nv, i) for i in range(nv)])
 

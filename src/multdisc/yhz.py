@@ -22,13 +22,21 @@ from math import comb, prod
 
 from .combinat import check_partition
 from .discriminant import SYMBOLIC_CAP
-from .errors import CapExceeded, ChainDegenerate, DegreeMismatch
+from .errors import Anomaly, MultdiscError
 from .subresultants import subresultant_chain, subresultant_det
 from .unipoly import Poly
 
 # the largest closed-form degree of a numeric yhz_condition: every partition
 # of n <= 22 is at most 3^11, while (12, 12), at 3^12, took 67 s
 YHZ_DEGREE_CAP = 3**11
+# the most chain work of a numeric yhz_condition, n^6 D for closed-form
+# degree D (6n, about that of (n - 1, 1), where the closed form is not
+# stated): up to n chain steps, each a remainder sequence, so a small D
+# does not bound it.  Measured times follow n^6 D within a factor of
+# three, about 1 s per 5 * 10^12.  (11, 11) is at the cap, so every
+# partition of n <= 22 is admitted; (60, 1) took 4.5 s, (61) 4.2 s and
+# (11, 11) 4.5 s, while (79, 1) took 25 s
+YHZ_WORK_CAP = 22**6 * 3**11
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,7 @@ def yhz_degree(mu):
     """
     mu = check_partition(mu)
     if not 2 <= len(mu) <= sum(mu) - 2:
-        raise DegreeMismatch("the degree formula needs 2 <= m <= n - 2 parts")
+        raise MultdiscError("the degree formula needs 2 <= m <= n - 2 parts")
     mu1, mu2 = mu[0], mu[1]
     m = _m_counts(mu)
     if mu1 == mu2:
@@ -102,34 +110,41 @@ def yhz_condition(F, mu):
     is G_(i+1), except at the last step, where s_(mu_1) = 0 and S_0's
     constant is the inequation.  Only the current G_i is held.
     In symbolic mode an identically vanishing chain member or inequation
-    is reported as ChainDegenerate, never skipped.  In numeric mode zero
+    raises Anomaly, never skipped.  In numeric mode zero
     chain members simply propagate zeros into the collected values, which
     is exactly what specialising the symbolic chain would produce.
-    Symbolic F is capped at degree SYMBOLIC_CAP, numeric F with
-    2 <= m <= n - 2 parts at closed-form degree YHZ_DEGREE_CAP (CapExceeded).
+    Symbolic F is capped at degree SYMBOLIC_CAP.  Numeric F with
+    2 <= m <= n - 2 parts is capped at closed-form degree YHZ_DEGREE_CAP,
+    and every numeric F at chain work YHZ_WORK_CAP, both before any
+    arithmetic (MultdiscError).
     """
     mu = check_partition(mu)
     n = sum(mu)
     if not F or F.degree != n:
-        raise DegreeMismatch(f"need deg F = sum(mu) = {n}")
+        raise MultdiscError(f"need deg F = sum(mu) = {n}")
     if mu[0] < 2:
-        raise DegreeMismatch("the chain is undefined for mu_1 < 2")
+        raise MultdiscError("the chain is undefined for mu_1 < 2")
     symbolic = F.is_symbolic()
     if symbolic and n > SYMBOLIC_CAP:
-        raise CapExceeded(f"symbolic chain capped at degree {SYMBOLIC_CAP}")
-    if not symbolic and 2 <= len(mu) <= n - 2 and (degree := yhz_degree(mu)) > YHZ_DEGREE_CAP:
-        raise CapExceeded(f"yhz of {mu} has degree {degree}, over the cap of {YHZ_DEGREE_CAP}")
+        raise MultdiscError(f"symbolic chain capped at degree {SYMBOLIC_CAP}")
+    if not symbolic:
+        stated = 2 <= len(mu) <= n - 2
+        degree = yhz_degree(mu) if stated else 6 * n
+        if stated and degree > YHZ_DEGREE_CAP:
+            raise MultdiscError(f"yhz of {mu} has degree {degree}, over the cap of {YHZ_DEGREE_CAP}")
+        if (work := n**6 * degree) > YHZ_WORK_CAP:
+            raise MultdiscError(f"yhz of {mu} needs chain work n^6 D = {work}, over the cap of {YHZ_WORK_CAP}")
     G, equations, p = F, [], n
     for i, k in enumerate(s_sequence(mu)):
         *steps, G = _steps(G, p, [*range(k if i else 0), k])
         equations += [S.coeff(j) for j, S in enumerate(steps)]
         if k:  # s_(i+1) > 0 for i < mu_1 - 1: G is the next chain member
             if symbolic and not G:
-                raise ChainDegenerate(f"G_{i + 1} vanishes identically for mu={mu}")
+                raise Anomaly(f"G_{i + 1} vanishes identically for mu={mu}")
             p = k
     inequation = G.coeff(0)
     if symbolic and not inequation:
-        raise ChainDegenerate(f"inequation vanishes identically for mu={mu}")
+        raise Anomaly(f"inequation vanishes identically for mu={mu}")
     return YhzCondition(tuple(equations), inequation)
 
 

@@ -7,14 +7,19 @@ the library code paths they validate.
 
 from itertools import permutations as iter_permutations
 
-from multdisc.linalg import Matrix
 from multdisc.sympoly import SymPoly
 from multdisc.unipoly import Poly
 
 
 def identity(k):
-    """The k x k identity matrix."""
-    return Matrix([[1 if i == j else 0 for j in range(k)] for i in range(k)])
+    """The k x k identity matrix, as rows."""
+    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+
+
+def matmul(a, b):
+    """The matrix product of a and b, given as rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def naive_det(rows):

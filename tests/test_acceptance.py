@@ -16,7 +16,7 @@ import pytest
 from multdisc.cli import EXIT_OK, _evaluated_size, main
 from multdisc.combinat import partitions
 from multdisc.discriminant import classify_report, dmu, dmu_degree
-from multdisc.errors import ChainDegenerate
+from multdisc.errors import Anomaly
 from multdisc.oracle import RootSpec, dbar_mu, poly_from_roots, random_instance
 from multdisc.subresultants import subresultant_det
 from multdisc.suites import run_suite
@@ -144,7 +144,7 @@ def test_criterion_3_symbolic_degree_audit():
                 assert value.total_degree() == dmu_degree(n, mu), (n, mu)
                 try:
                     cond = yhz_condition(F, mu)
-                except ChainDegenerate as exc:
+                except Anomaly as exc:
                     degenerate.append((n, mu, str(exc)))
                     continue
                 assert measured_size(cond) == (yhz_count(mu), yhz_degree(mu)), (n, mu)

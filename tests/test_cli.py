@@ -15,6 +15,7 @@ import multdisc.suites as suites
 import multdisc.yhz as yhz
 from multdisc.cli import EXIT_ANOMALY, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from multdisc.combinat import partitions
+from multdisc.errors import NonExactDivision
 from multdisc.oracle import RootSpec, poly_from_roots, random_factored, random_instance
 from multdisc.scalars import format_scalar, normalize_scalar
 from multdisc.suites import SUITES
@@ -302,6 +303,10 @@ def test_yhz_symbolic_and_eval(monkeypatch, capsys):
     code, text = run(["yhz", "--n", "24", "--mu", "12,12", "--eval", ",".join(["1"] + ["0"] * 23 + ["-1"])])
     assert code == EXIT_USAGE and text == ""
     assert capsys.readouterr().err == "error: yhz of (12, 12) has degree 531441, over the cap of 177147\n"
+    # numeric (79, 1) is under the degree cap, over the chain work cap
+    code, text = run(["yhz", "--n", "80", "--mu", "79,1", "--eval", ",".join(["1"] + ["0"] * 79 + ["-1"])])
+    assert code == EXIT_USAGE and text == ""
+    assert capsys.readouterr().err.startswith("error: yhz of (79, 1) needs chain work n^6 D = ")
 
 
 def test_table_n8_has_every_partition_row():
@@ -421,7 +426,7 @@ def test_verify_failure_lines(monkeypatch):
     assert lines[:2] == ["suite lemma2: 0/3 trials passed", "FAIL symbolic 2x2 instance failed"]
     assert len(lines) == 4
     for k, line in enumerate(lines[2:]):
-        assert re.fullmatch(rf"FAIL trial {k}: size [1-5], A=\(\(.*\)\), B=\(\(.*\)\)", line), line
+        assert re.fullmatch(rf"FAIL trial {k}: size [1-5], A=\[\[.*\]\], B=\[\[.*\]\]", line), line
 
 
 def test_verify_failing_trial_json(monkeypatch):
@@ -551,3 +556,75 @@ def test_text_stdout_is_pinned():
             code, text = run(argv)
         digest.update(f"{code}\n{text}".encode())
     assert digest.hexdigest() == TEXT_STDOUT_SHA256
+
+
+def _raises(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+
+    return raiser
+
+
+_real_certify = disc._certify
+
+
+def _wrong_count(F, g, m):
+    return _real_certify(F, g, m + 1)
+
+
+def _zero_steps(G, p, ks):
+    return [Poly()] * len(ks)
+
+# one row per route from the command line to an exception class: the
+# command, an optional (module, name, replacement) patch, the exit code
+# and the first stderr line
+ERROR_CONTRACT = [
+    (["classify", "--coeffs", "1,,-1"], None, EXIT_USAGE, "error: not an exact scalar: ''"),
+    (["classify", "--coeffs", "1,x"], None, EXIT_USAGE, "error: not an exact scalar: 'x'"),
+    (["classify", "--coeffs", "0,1,2"], None, EXIT_USAGE, "error: leading coefficient is zero: '0,1,2'"),
+    (["classify", "--coeffs", "7"], None, EXIT_USAGE, "error: cannot classify a constant: it has no roots"),
+    (["classify"], None, EXIT_USAGE, "error: exactly one of --coeffs or --file is required"),
+    (["classify", "--file", "no/such/batch.txt"], None, EXIT_USAGE,
+     "error: [Errno 2] No such file or directory: 'no/such/batch.txt'"),
+    (["classify", "--coeffs", "1,2,1", "--truncate-digits", "-1"], None, EXIT_USAGE,
+     "error: --truncate-digits must be at least 0, got -1"),
+    (["dmu", "--n", "4", "--mu", "5,1", "--symbolic"], None, EXIT_USAGE, "error: [5,1] does not partition n = 4"),
+    (["dmu", "--n", "4", "--mu", "1,3", "--symbolic"], None, EXIT_USAGE,
+     "error: bad partition '1,3': not a partition (positive, non-increasing): (1, 3)"),
+    (["dmu", "--n", "4", "--mu", "3,1"], None, EXIT_USAGE, "error: exactly one of --symbolic or --eval is required"),
+    (["dmu", "--n", "8", "--mu", "7,1", "--symbolic"], None, EXIT_USAGE, "error: symbolic dmu capped at degree 7"),
+    (["dmu", "--n", "4", "--mu", "3,1", "--eval", "1,2,3"], None, EXIT_USAGE,
+     "error: --eval polynomial has degree 2, expected 4"),
+    (["dmu", "--n", "22", "--mu", "6,5,4,3,2,1,1", "--eval", ",".join(["1"] + ["0"] * 21 + ["-1"])],
+     (disc, "_scaled_columns", None), EXIT_USAGE,
+     "error: dmu of (6, 5, 4, 3, 2, 1, 1) needs 3175200 convolution terms, over the cap of 2000000"),
+    (["yhz", "--n", "8", "--mu", "7,1"], None, EXIT_USAGE, "error: symbolic chain capped at degree 7"),
+    (["yhz", "--n", "4", "--mu", "1,1,1,1"], None, EXIT_USAGE, "error: the chain is undefined for mu_1 < 2"),
+    (["yhz", "--n", "24", "--mu", "12,12", "--eval", ",".join(["1"] + ["0"] * 23 + ["-1"])],
+     (yhz, "_steps", None), EXIT_USAGE, "error: yhz of (12, 12) has degree 531441, over the cap of 177147"),
+    (["table", "--n", "50"], None, EXIT_USAGE, "error: table --n 50 has 204223 rows, over the cap of 200000"),
+    (["table", "--n", "0"], None, EXIT_USAGE, "error: --n must be at least 1, got 0"),
+    (["verify", "--suite", "nope"], None, EXIT_USAGE,
+     "error: unknown suite 'nope'; choose from certificates, lemma1, lemma2, lemma3, roundtrip, scaling, yhz-agree"),
+    (["verify", "--suite", "lemma2", "--trials", "0"], None, EXIT_USAGE, "error: --trials must be at least 1, got 0"),
+    (["classify", "--coeffs", "1,0,-6,4,9,-12,4"], (disc, "_certify", _wrong_count), EXIT_ANOMALY,
+     "anomaly: the psd counts 3 distinct roots, Yun's decomposition 2: (4, 2)"),
+    (["yhz", "--n", "4", "--mu", "3,1"], (yhz, "_steps", _zero_steps), EXIT_ANOMALY,
+     "anomaly: G_1 vanishes identically for mu=(3, 1)"),
+    # a non-exact division is reached only by a broken step, never by input
+    (["classify", "--coeffs", "1,-1,-3,5,-2"],
+     (disc, "poly_div", _raises(NonExactDivision("polynomial division left a remainder"))), EXIT_INTERNAL,
+     "internal error: polynomial division left a remainder"),
+    (["table", "--n", "5", "--measure"], (cli, "dmu", _raises(RuntimeError("kernel bug"))), EXIT_INTERNAL,
+     "internal error: kernel bug"),
+]
+
+
+def test_error_contract(monkeypatch, capsys):
+    # every failure leaves stdout empty and names itself on stderr's first line
+    for argv, patch, code, first in ERROR_CONTRACT:
+        with monkeypatch.context() as m:
+            if patch:
+                m.setattr(*patch)
+            assert run(argv) == (code, ""), argv
+        assert capsys.readouterr().err.splitlines()[0] == first, argv

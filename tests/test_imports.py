@@ -1,4 +1,5 @@
 import ast
+import builtins
 from collections import Counter
 from pathlib import Path
 
@@ -203,3 +204,48 @@ def test_the_scan_sees_an_unreferenced_method():
     b = ast.parse("from a import K\nx = K().used()\ny = K.kept\n")
     assert _unreferenced_methods({"a": a, "b": b}, exempt={"a.K.oracle"}) == ["a.K.recursive"]
     assert _unreferenced_methods({"a": a}) == ["a.K.kept", "a.K.oracle", "a.K.recursive", "a.K.used"]
+
+
+def _unraised_exceptions(trees):
+    """The exception classes defined in the trees that no raise statement names.
+
+    A class is an exception if one of its bases is a builtin exception or
+    another exception class of the trees.  A raise names the class it
+    calls or raises bare, by name or as an attribute.
+    """
+    classes = {
+        node.name: [getattr(base, "id", None) or getattr(base, "attr", None) for base in node.bases]
+        for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    }
+
+    def is_exception(name):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return any(map(is_exception, classes.get(name, ())))
+
+    raised = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    return sorted(name for name in classes if is_exception(name) and name not in raised)
+
+
+def test_every_exception_class_is_raised():
+    # a class no raise names is a type no caller can tell apart
+    trees = [ast.parse(p.read_text()) for p in sorted(SOURCE.glob("*.py"))]
+    assert _unraised_exceptions(trees) == []
+
+
+def test_the_scan_sees_an_unraised_exception():
+    # a base counts only if raised itself; a raise by attribute or bare name counts
+    a = ast.parse(
+        "class Base(Exception):\n    pass\n\nclass Used(Base):\n    pass\n\n"
+        "class Unused(Base, ArithmeticError):\n    pass\n\nclass Bare(ValueError):\n    pass\n\n"
+        "class Plain:\n    pass\n\nclass Sub(Plain):\n    pass\n"
+    )
+    b = ast.parse("import a\n\ndef f():\n    raise a.Used('x')\n\ndef g():\n    raise Bare\n")
+    assert _unraised_exceptions([a, b]) == ["Base", "Unused"]
+    assert _unraised_exceptions([a]) == ["Bare", "Base", "Unused", "Used"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multdisc.errors import NonExactDivision, ParseError
+from multdisc.errors import MultdiscError, NonExactDivision
 from multdisc.scalars import (
     clear_denominators,
     exact_div,
@@ -25,14 +25,14 @@ def test_parse_scalar():
     assert parse_scalar("-7") == -7
     assert parse_scalar("3/6") == Fraction(1, 2)
     assert parse_scalar("4/2") == 2 and isinstance(parse_scalar("4/2"), int)
-    with pytest.raises(ParseError):
+    with pytest.raises(MultdiscError, match="not an exact scalar: 'x'"):
         parse_scalar("x")
-    with pytest.raises(ParseError):
+    with pytest.raises(MultdiscError, match="not an exact scalar: '1/0'"):
         parse_scalar("1/0")
     # Python's int-from-str limit bounds each part, and is named as such
     limit = sys.get_int_max_str_digits()
     assert parse_scalar("7" * limit) == int("7" * limit)
-    with pytest.raises(ParseError, match=f"of {limit + 1} digits is over the {limit}-digit limit"):
+    with pytest.raises(MultdiscError, match=f"of {limit + 1} digits is over the {limit}-digit limit"):
         parse_scalar("-1/" + "7" * (limit + 1))
 
 

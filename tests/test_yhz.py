@@ -5,12 +5,13 @@ import pytest
 
 from multdisc.combinat import partitions
 from multdisc.discriminant import dmu
-from multdisc.errors import CapExceeded, DegreeMismatch
+from multdisc.errors import MultdiscError
 from multdisc.oracle import RootSpec, poly_from_roots, random_instance
 from multdisc.sympoly import SymPoly
 from multdisc import yhz
 from multdisc.unipoly import Poly, generic_poly, parse_poly
 from multdisc.yhz import (
+    YHZ_WORK_CAP,
     _steps,
     measured_size,
     s_sequence,
@@ -77,7 +78,7 @@ def test_degree_examples():
     assert yhz_degree((6, 1, 1)) == 45
     # stated for 2 <= m <= n - 2 parts only
     for mu in ((5,), (2, 1), (2, 1, 1, 1), (1, 1, 1, 1)):
-        with pytest.raises(DegreeMismatch):
+        with pytest.raises(MultdiscError, match="the degree formula needs 2 <= m <= n - 2 parts"):
             yhz_degree(mu)
 
 
@@ -126,11 +127,11 @@ def test_symbolic_sizes_match_closed_forms_up_to_5():
 
 
 def test_condition_guards(monkeypatch):
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(MultdiscError, match="the chain is undefined for mu_1 < 2"):
         yhz_condition(generic_poly(4), (1, 1, 1, 1))  # mu_1 < 2
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(MultdiscError, match=r"need deg F = sum\(mu\) = 5"):
         yhz_condition(generic_poly(4), (3, 2))
-    with pytest.raises(CapExceeded):
+    with pytest.raises(MultdiscError, match="symbolic chain capped at degree 7"):
         yhz_condition(generic_poly(8), (7, 1))
 
     # numeric F is capped at closed-form degree 3^11, checked before the
@@ -139,10 +140,18 @@ def test_condition_guards(monkeypatch):
         raise RuntimeError("chain reached")
 
     monkeypatch.setattr(yhz, "_steps", reached)
-    with pytest.raises(CapExceeded, match="has degree 531441, over the cap of 177147"):
+    with pytest.raises(MultdiscError, match="has degree 531441, over the cap of 177147"):
         yhz_condition(Poly([1] + [0] * 23 + [-1]), (12, 12))
-    # every partition of n <= 22 is admitted, (11, 11) at exactly the cap
-    assert yhz_degree((11, 11)) == 3**11
+    # and at chain work n^6 D, with D = 6n where the closed form is not
+    # stated: (79, 1) took 25 s; (60, 1) and (61) are the longest chains admitted
+    for mu, work in (((79, 1), 80**6 * 465), ((61, 1), 62**6 * 357), ((62,), 62**6 * 6 * 62)):
+        with pytest.raises(MultdiscError, match=rf"needs chain work n\^6 D = {work}, over the cap of {YHZ_WORK_CAP}"):
+            yhz_condition(Poly([1] + [0] * (sum(mu) - 1) + [-1]), mu)
+    for mu in ((60, 1), (61,)):
+        with pytest.raises(RuntimeError, match="chain reached"):
+            yhz_condition(Poly([1] + [0] * (sum(mu) - 1) + [-1]), mu)
+    # every partition of n <= 22 is admitted, (11, 11) at exactly both caps
+    assert yhz_degree((11, 11)) == 3**11 and 22**6 * 3**11 == YHZ_WORK_CAP
     for n in range(4, 23):
         F = Poly([1] + [0] * (n - 1) + [-1])
         for m in range(1, n + 1):
