@@ -54,7 +54,7 @@ def _truncate(text, digits):
 def _parse_mu(text, n):
     try:
         mu = parse_partition(text)
-    except ValueError as exc:
+    except MultdiscError as exc:
         raise MultdiscError(f"bad partition {text!r}: {exc}") from exc
     if sum(mu) != n:
         raise MultdiscError(f"{_mu_str(mu)} does not partition n = {n}")
@@ -84,9 +84,10 @@ def _emit(args, out, payload, render):
 
 
 def _classify_one(text):
-    report = classify_report(_parse_input_poly(text))
+    poly = _parse_input_poly(text)
+    report = classify_report(poly)
     return {
-        "degree": report.degree,
+        "degree": poly.degree,
         "ndr": report.ndr,
         "multiplicity": list(report.multiplicity),
         "certificates": [{"mu": list(mu), "value": format_scalar(v)} for mu, v in report.certificates],
@@ -113,8 +114,10 @@ def cmd_classify(args, out):
     for k, line in lines:  # each report is written before the next line is read
         try:
             report = _classify_one(line)
-        except MultdiscError as exc:
-            raise type(exc)(f"line {k}: {exc}") from exc
+        except Exception as exc:
+            # the class, and so the exit code, stays; only the message gains the line
+            exc.args = (f"line {k}: {exc}",)
+            raise
         _emit(args, out, report, lambda: [_batch_line(line, report, digits)])
     return EXIT_OK
 
@@ -137,7 +140,7 @@ def cmd_dmu(args, out):
         "n": args.n,
         "mu": list(mu),
         "mode": "symbolic" if args.symbolic else "numeric",
-        "matrix_dim": result.matrix_dim,
+        "matrix_dim": dmu_degree(args.n, mu),
         "term_count": result.term_count,
     }
     if args.symbolic:

@@ -13,7 +13,7 @@ from .errors import MultdiscError
 
 def check_partition(mu):
     if not (mu and all(isinstance(x, int) and x >= 1 for x in mu) and all(a >= b for a, b in zip(mu, mu[1:]))):
-        raise ValueError(f"not a partition (positive, non-increasing): {mu}")
+        raise MultdiscError(f"not a partition (positive, non-increasing): {mu}")
     return tuple(mu)
 
 
@@ -22,7 +22,7 @@ def parse_partition(text):
     try:
         mu = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"not a comma-separated partition: {text!r}") from exc
+        raise MultdiscError(f"not a comma-separated partition: {text!r}") from exc
     return check_partition(mu)
 
 

@@ -60,9 +60,8 @@ coefficient ring:
   the multi-indices a <= c turns those traces into E(c), dividing by |b|
   in Z at each step.  The work is prod_v (c_v + 1) products of an n x n
   matrix by a vector and prod_v (c_v + 1)(c_v + 2)/2 convolution terms,
-  both known from mu before any arithmetic; above NEWTON_CAP terms, or
-  above NEWTON_WORK_CAP for prod_v (c_v + 1) n^3, dmu raises MultdiscError
-  at once.
+  both known from mu before any arithmetic; above NEWTON_WORK_CAP for
+  prod_v (c_v + 1) n^3, dmu raises MultdiscError at once.
 * linalg.wedge_dp, for SymPoly F (the generic F, where lc is the variable
   a_0), with the M_v as its sources.  The determinant is multilinear in
   its columns, so E(c) sums det over every way to take column j from some
@@ -94,14 +93,12 @@ SYMBOLIC_CAP = 7
 # the most candidate partitions classify lists: p(n, m) grows without
 # bound in n, p(100, 50) = 204,226
 CANDIDATE_CAP = 200_000
-# the most convolution terms of the Newton kernel, prod_v (c_v + 1)(c_v + 2)/2:
-# every partition of n <= 21 is under it, the largest (6,5,4,3,2,1) with
-# 1,587,600 terms
-NEWTON_CAP = 2_000_000
 # the most matrix-vector work of the Newton kernel, prod_v (c_v + 1) n^3 (n^2
 # products of integers that grow with n, per matrix-vector product): every
 # partition of n <= 21 is under it, the largest (6,5,4,3,2,1) with 46,675,440,
-# while 1^n is over it from n = 84 on (1^180, under NEWTON_CAP, took 104 s)
+# while 1^n is over it from n = 84 on (1^180 took 104 s).  It also keeps the
+# prod_v (c_v + 1)(c_v + 2)/2 convolution terms under 2,000,000: checked for
+# n <= 60, and above that they are at most prod_v (c_v + 1)^2 < (cap / n^3)^2
 NEWTON_WORK_CAP = 50_000_000
 
 
@@ -109,7 +106,6 @@ NEWTON_WORK_CAP = 50_000_000
 class DmuResult:
     value: object  # int (numeric) or SymPoly (symbolic)
     term_count: int
-    matrix_dim: int
 
 
 @dataclass(frozen=True)
@@ -121,7 +117,6 @@ class PsdReport:
 
 @dataclass(frozen=True)
 class ClassifyReport:
-    degree: int
     ndr: int
     multiplicity: tuple
     certificates: tuple  # ((mu, value), ...) in candidate order
@@ -141,7 +136,7 @@ def dmu_rows(n, mu, sigma, F):
     if F.degree != n or sum(mu) != n:
         raise MultdiscError(f"need deg F = sum(mu) = {n}")
     if sorted(sigma) != sorted(expand_partition(mu)):
-        raise ValueError(f"{sigma} is not a rearrangement of the expanded tuple")
+        raise MultdiscError(f"{sigma} is not a rearrangement of the expanded tuple")
     rows = [F.shift_mul(s) for s in range(n - mu[-1] - 1, -1, -1)]
     rows.extend(
         F.taylor_derivative(sigma[i]).shift_mul(n - 1 - i) for i in range(n)
@@ -230,8 +225,8 @@ def dmu(F, mu):
     denominators first; D_mu is homogeneous of degree 2n - mu_m, so the
     zero/nonzero verdict is unaffected and the reported value is the one
     for the scaled integer polynomial.  Symbolic F is capped at degree
-    SYMBOLIC_CAP, numeric F at NEWTON_CAP convolution terms and at
-    NEWTON_WORK_CAP matrix-vector work (MultdiscError).
+    SYMBOLIC_CAP, numeric F at NEWTON_WORK_CAP matrix-vector work
+    (MultdiscError).
     """
     mu = check_partition(mu)
     if not F:
@@ -239,7 +234,6 @@ def dmu(F, mu):
     n = F.degree
     if sum(mu) != n:
         raise MultdiscError(f"{mu} does not partition deg F = {n}")
-    dim = 2 * n - mu[-1]
     term_count = permutation_count(expand_partition(mu))
     values = sorted(set(mu))
     c = [v * mu.count(v) for v in values]
@@ -257,8 +251,6 @@ def dmu(F, mu):
             total = SymPoly.const(n + 1, total)
         value = sympoly_div(total, F.lead ** (d_c - (n - mu[-1])))
     else:
-        if (terms := prod((ck + 1) * (ck + 2) // 2 for ck in c)) > NEWTON_CAP:
-            raise MultdiscError(f"dmu of {mu} needs {terms} convolution terms, over the cap of {NEWTON_CAP}")
         if (work := prod(ck + 1 for ck in c) * n**3) > NEWTON_WORK_CAP:
             raise MultdiscError(f"dmu of {mu} needs prod_v (c_v + 1) n^3 = {work}, over the cap of {NEWTON_WORK_CAP}")
         ints, _ = clear_denominators(list(F.coeffs))
@@ -266,7 +258,7 @@ def dmu(F, mu):
         g, cols = _scaled_columns(F, values)
         total = _newton_traces(g, cols, c)
         value = exact_div(total, F.lead ** (d_c - (n - mu[-1])))
-    return DmuResult(value, term_count, dim)
+    return DmuResult(value, term_count)
 
 
 def psd_sequence(F):
@@ -370,10 +362,10 @@ def classify_report(F):
         raise MultdiscError(f"{count} candidate structures for degree {n}, over the cap of {CANDIDATE_CAP}")
     candidates = partitions(n, m)
     if len(candidates) == 1:  # m in {1, n - 1, n}
-        return ClassifyReport(n, m, candidates[0], ())
+        return ClassifyReport(m, candidates[0], ())
     mu, value = _certify(F, report.gcd, m)
     certificates = tuple((nu, value if nu == mu else 0) for nu in candidates)
-    return ClassifyReport(n, m, mu, certificates)
+    return ClassifyReport(m, mu, certificates)
 
 
 def classify(F):

@@ -247,7 +247,7 @@ def dp(polys):
     polys = list(polys)
     size = len(polys)
     if size == 0:
-        raise ValueError("dp of an empty stack")
+        raise MultdiscError("dp of an empty stack")
     for p in polys:
         if p.degree >= size:
             raise MultdiscError(f"degree {p.degree} row in a {size}-row stack")

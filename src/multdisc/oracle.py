@@ -53,7 +53,7 @@ def _validate(spec):
     if not spec.lead:
         raise MultdiscError("leading coefficient must be nonzero")
     if any(not isinstance(m, int) or m < 1 for m in spec.mults):
-        raise ValueError("multiplicities must be positive integers")
+        raise MultdiscError("multiplicities must be positive integers")
     for i, r in enumerate(spec.roots):
         for other in spec.roots[i + 1 :]:
             if r == other:

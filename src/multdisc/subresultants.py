@@ -56,7 +56,7 @@ def pseudo_rem(P, Q):
     if not Q:
         raise ZeroDivisionError("pseudo-division by the zero polynomial")
     if P.degree < Q.degree:
-        raise ValueError("pseudo_rem expects deg P >= deg Q")
+        raise MultdiscError("pseudo_rem expects deg P >= deg Q")
     return Poly(_prem(P.coeffs, Q.coeffs))
 
 
@@ -66,7 +66,7 @@ def _degrees(P, Q, k):
         raise MultdiscError("subresultant of the zero polynomial")
     p, q = P.degree, Q.degree
     if p <= q:
-        raise ValueError("subresultants need deg P > deg Q")
+        raise MultdiscError("subresultants need deg P > deg Q")
     if not 0 <= k <= q:
         raise MultdiscError(f"subresultant index {k} outside 0..{q}")
     return p, q

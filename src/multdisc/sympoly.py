@@ -45,7 +45,7 @@ strings.
 
 from math import prod
 
-from .errors import NonExactDivision
+from .errors import MultdiscError, NonExactDivision
 from .scalars import exact_div
 
 WIDTH = 16
@@ -54,15 +54,15 @@ FIELD_MAX = (1 << WIDTH) - 1
 
 def _pack(nvars, exps):
     if len(exps) != nvars:
-        raise ValueError(f"exponent tuple {exps!r} does not have {nvars} entries")
+        raise MultdiscError(f"exponent tuple {exps!r} does not have {nvars} entries")
     key = 0
     for k in exps:
         if not 0 <= k <= FIELD_MAX:
-            raise ValueError(f"exponent {k} outside [0, {FIELD_MAX}]")
+            raise MultdiscError(f"exponent {k} outside [0, {FIELD_MAX}]")
         key = (key << WIDTH) | k
     degree = sum(exps)
     if degree > FIELD_MAX:
-        raise ValueError(f"total degree {degree} exceeds {FIELD_MAX}")
+        raise MultdiscError(f"total degree {degree} exceeds {FIELD_MAX}")
     return (degree << (WIDTH * nvars)) | key
 
 
@@ -110,7 +110,7 @@ class SymPoly:
     def _coerce(self, other):
         if isinstance(other, SymPoly):
             if other.nvars != self.nvars:
-                raise ValueError("mixing SymPolys with different variable counts")
+                raise MultdiscError("mixing SymPolys with different variable counts")
             return other
         if isinstance(other, int):
             return SymPoly.const(self.nvars, other)
@@ -164,7 +164,7 @@ class SymPoly:
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative int")
+            raise MultdiscError("exponent must be a nonnegative int")
         result = SymPoly.const(self.nvars, 1)
         base = self
         while k:
@@ -176,7 +176,7 @@ class SymPoly:
 
     def total_degree(self):
         if not self.terms:
-            raise ValueError("the zero polynomial has no total degree")
+            raise MultdiscError("the zero polynomial has no total degree")
         return max(self.terms) >> (WIDTH * self.nvars)
 
     def is_homogeneous(self):
@@ -187,7 +187,7 @@ class SymPoly:
     def evaluate(self, values):
         """Substitute numeric values (int/Fraction) for a_0..a_n."""
         if len(values) != self.nvars:
-            raise ValueError(f"expected {self.nvars} values, got {len(values)}")
+            raise MultdiscError(f"expected {self.nvars} values, got {len(values)}")
         total = 0
         for e, c in self.terms.items():
             total += c * prod(v ** k for v, k in zip(values, _unpack(self.nvars, e)) if k)
@@ -238,7 +238,7 @@ def sum_of_products(pairs):
     coefficients are dropped once at the end, so a dot product allocates
     no intermediate SymPoly.  Each pair gets __mul__'s checks: all SymPoly
     operands share one variable count, and a product of two nonzero
-    SymPolys has total degree at most FIELD_MAX, else ValueError.  The
+    SymPolys has total degree at most FIELD_MAX, else MultdiscError.  The
     result is a SymPoly, zero included, when any operand is one, and the
     plain int sum otherwise.
     """
@@ -255,7 +255,7 @@ def sum_of_products(pairs):
                 if not a or not b:
                     continue
                 if (max(a) >> shift) + (max(b) >> shift) > FIELD_MAX:
-                    raise ValueError(f"product total degree exceeds {FIELD_MAX}")
+                    raise MultdiscError(f"product total degree exceeds {FIELD_MAX}")
                 b = b.items()
                 for e1, c1 in a.items():
                     for e2, c2 in b:
@@ -287,7 +287,7 @@ def _common_nvars(nvars, *polys):
         if nvars is None:
             nvars = p.nvars
         elif p.nvars != nvars:
-            raise ValueError("mixing SymPolys with different variable counts")
+            raise MultdiscError("mixing SymPolys with different variable counts")
     return nvars, WIDTH * nvars
 
 
@@ -297,14 +297,14 @@ def sympoly_div(a, b):
     Each term divides on its own.  Every exponent field of the term must
     hold at least b's, checked before the keys are subtracted, and the
     coefficient must be a multiple of b's.  A b of several terms raises
-    ValueError: the one symbolic division, dmu's, is by a power of a_0.
+    MultdiscError: the one symbolic division, dmu's, is by a power of a_0.
     """
     if isinstance(b, int):
         b = SymPoly.const(a.nvars, b)
     if not b:
         raise ZeroDivisionError("exact division by zero")
     if len(b.terms) != 1:
-        raise ValueError("sympoly_div divides by a monomial only")
+        raise MultdiscError("sympoly_div divides by a monomial only")
     ((be, bc),) = b.terms.items()
     fields = [(s, k) for s in range(0, WIDTH * a.nvars, WIDTH) if (k := (be >> s) & FIELD_MAX)]
     out = {}

@@ -64,7 +64,7 @@ class Poly:
     @property
     def lead(self):
         if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
+            raise MultdiscError("the zero polynomial has no leading coefficient")
         return self.coeffs[0]
 
     def coeff(self, k):
@@ -143,7 +143,7 @@ class Poly:
         coefficient, so no division is ever performed.
         """
         if k < 0:
-            raise ValueError("derivative order must be nonnegative")
+            raise MultdiscError("derivative order must be nonnegative")
         if k == 0:
             return self
         deg = len(self.coeffs) - 1
@@ -161,7 +161,7 @@ class Poly:
     def shift_mul(self, k):
         """Multiply by x^k."""
         if k < 0:
-            raise ValueError("shift must be nonnegative")
+            raise MultdiscError("shift must be nonnegative")
         if not self.coeffs:
             return self
         return Poly(self.coeffs + (0,) * k)

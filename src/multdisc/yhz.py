@@ -26,16 +26,14 @@ from .errors import Anomaly, MultdiscError
 from .subresultants import subresultant_chain, subresultant_det
 from .unipoly import Poly
 
-# the largest closed-form degree of a numeric yhz_condition: every partition
-# of n <= 22 is at most 3^11, while (12, 12), at 3^12, took 67 s
-YHZ_DEGREE_CAP = 3**11
 # the most chain work of a numeric yhz_condition, n^6 D for closed-form
 # degree D (6n, about that of (n - 1, 1), where the closed form is not
 # stated): up to n chain steps, each a remainder sequence, so a small D
 # does not bound it.  Measured times follow n^6 D within a factor of
 # three, about 1 s per 5 * 10^12.  (11, 11) is at the cap, so every
 # partition of n <= 22 is admitted; (60, 1) took 4.5 s, (61) 4.2 s and
-# (11, 11) 4.5 s, while (79, 1) took 25 s
+# (11, 11) 4.5 s, while (79, 1) took 25 s and (12, 12) 67 s.  A closed-form
+# degree over 3^11 needs n >= 23, so it is over the cap too
 YHZ_WORK_CAP = 22**6 * 3**11
 
 
@@ -88,7 +86,7 @@ def yhz_degree(mu):
 def yhz_degree_lower_bound(n, mu2):
     """2n + 3^(mu_2) - 4 mu_2."""
     if mu2 < 1:
-        raise ValueError("mu_2 must be at least 1")
+        raise MultdiscError("mu_2 must be at least 1")
     return 2 * n + 3 ** mu2 - 4 * mu2
 
 
@@ -113,10 +111,8 @@ def yhz_condition(F, mu):
     raises Anomaly, never skipped.  In numeric mode zero
     chain members simply propagate zeros into the collected values, which
     is exactly what specialising the symbolic chain would produce.
-    Symbolic F is capped at degree SYMBOLIC_CAP.  Numeric F with
-    2 <= m <= n - 2 parts is capped at closed-form degree YHZ_DEGREE_CAP,
-    and every numeric F at chain work YHZ_WORK_CAP, both before any
-    arithmetic (MultdiscError).
+    Symbolic F is capped at degree SYMBOLIC_CAP, numeric F at chain work
+    YHZ_WORK_CAP, both before any arithmetic (MultdiscError).
     """
     mu = check_partition(mu)
     n = sum(mu)
@@ -128,10 +124,7 @@ def yhz_condition(F, mu):
     if symbolic and n > SYMBOLIC_CAP:
         raise MultdiscError(f"symbolic chain capped at degree {SYMBOLIC_CAP}")
     if not symbolic:
-        stated = 2 <= len(mu) <= n - 2
-        degree = yhz_degree(mu) if stated else 6 * n
-        if stated and degree > YHZ_DEGREE_CAP:
-            raise MultdiscError(f"yhz of {mu} has degree {degree}, over the cap of {YHZ_DEGREE_CAP}")
+        degree = yhz_degree(mu) if 2 <= len(mu) <= n - 2 else 6 * n
         if (work := n**6 * degree) > YHZ_WORK_CAP:
             raise MultdiscError(f"yhz of {mu} needs chain work n^6 D = {work}, over the cap of {YHZ_WORK_CAP}")
     G, equations, p = F, [], n

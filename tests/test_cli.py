@@ -244,8 +244,9 @@ def test_dmu_eval_over_the_newton_cap(monkeypatch, capsys):
     coeffs = ",".join(["1"] + ["0"] * 21 + ["-1"])
     code, text = run(["dmu", "--n", "22", "--mu", "6,5,4,3,2,1,1", "--eval", coeffs])
     assert code == EXIT_USAGE and text == ""
-    assert capsys.readouterr().err.startswith("error: dmu of (6, 5, 4, 3, 2, 1, 1) needs 3175200 convolution terms")
-    # 1^180 is under the term cap, over the work cap, refused before any arithmetic
+    assert capsys.readouterr().err == (
+        "error: dmu of (6, 5, 4, 3, 2, 1, 1) needs prod_v (c_v + 1) n^3 = 80498880, over the cap of 50000000\n")
+    # 1^180 has few convolution terms but is over the work cap, refused before any arithmetic
     monkeypatch.setattr(disc, "_scaled_columns", None)
     coeffs = ",".join(["1"] + ["0"] * 179 + ["-1"])
     code, text = run(["dmu", "--n", "180", "--mu", ",".join(["1"] * 180), "--eval", coeffs])
@@ -298,12 +299,13 @@ def test_yhz_symbolic_and_eval(monkeypatch, capsys):
     assert code == EXIT_OK
     assert "closed-form max degree: null\n" in text
     assert "degree lower bound: null\n" in text
-    # numeric (12, 12) is over the degree cap, refused before the chain
+    # numeric (12, 12) is over the chain work cap, refused before the chain
     monkeypatch.setattr(yhz, "_steps", None)
     code, text = run(["yhz", "--n", "24", "--mu", "12,12", "--eval", ",".join(["1"] + ["0"] * 23 + ["-1"])])
     assert code == EXIT_USAGE and text == ""
-    assert capsys.readouterr().err == "error: yhz of (12, 12) has degree 531441, over the cap of 177147\n"
-    # numeric (79, 1) is under the degree cap, over the chain work cap
+    assert capsys.readouterr().err == (
+        "error: yhz of (12, 12) needs chain work n^6 D = 101559956668416, over the cap of 20084909853888\n")
+    # so is numeric (79, 1), though its closed-form degree is only 465
     code, text = run(["yhz", "--n", "80", "--mu", "79,1", "--eval", ",".join(["1"] + ["0"] * 79 + ["-1"])])
     assert code == EXIT_USAGE and text == ""
     assert capsys.readouterr().err.startswith("error: yhz of (79, 1) needs chain work n^6 D = ")
@@ -369,7 +371,7 @@ def test_table_measures_only_when_asked():
 
 def test_table_measured_degenerate_point(monkeypatch):
     # D_mu vanishes at every point tried: the row reads degenerate
-    monkeypatch.setattr(cli, "dmu", lambda F, mu, **kw: disc.DmuResult(0, 1, 1))
+    monkeypatch.setattr(cli, "dmu", lambda F, mu, **kw: disc.DmuResult(0, 1))
     code, text = run(["table", "--n", "4", "--measure", "--format", "json"])
     assert code == EXIT_OK
     for row in json.loads(text):
@@ -380,7 +382,7 @@ def test_table_measured_degenerate_point(monkeypatch):
 def test_table_measured_ratio_not_power_of_two(monkeypatch, capsys):
     # D_mu(2r) = 3 D_mu(r) is no homogeneous degree: an internal error
     values = iter([1, 3])
-    monkeypatch.setattr(cli, "dmu", lambda F, mu, **kw: disc.DmuResult(next(values), 1, 1))
+    monkeypatch.setattr(cli, "dmu", lambda F, mu, **kw: disc.DmuResult(next(values), 1))
     code, text = run(["table", "--n", "4", "--measure"])
     assert code == EXIT_INTERNAL
     assert text == ""
@@ -597,11 +599,12 @@ ERROR_CONTRACT = [
      "error: --eval polynomial has degree 2, expected 4"),
     (["dmu", "--n", "22", "--mu", "6,5,4,3,2,1,1", "--eval", ",".join(["1"] + ["0"] * 21 + ["-1"])],
      (disc, "_scaled_columns", None), EXIT_USAGE,
-     "error: dmu of (6, 5, 4, 3, 2, 1, 1) needs 3175200 convolution terms, over the cap of 2000000"),
+     "error: dmu of (6, 5, 4, 3, 2, 1, 1) needs prod_v (c_v + 1) n^3 = 80498880, over the cap of 50000000"),
     (["yhz", "--n", "8", "--mu", "7,1"], None, EXIT_USAGE, "error: symbolic chain capped at degree 7"),
     (["yhz", "--n", "4", "--mu", "1,1,1,1"], None, EXIT_USAGE, "error: the chain is undefined for mu_1 < 2"),
     (["yhz", "--n", "24", "--mu", "12,12", "--eval", ",".join(["1"] + ["0"] * 23 + ["-1"])],
-     (yhz, "_steps", None), EXIT_USAGE, "error: yhz of (12, 12) has degree 531441, over the cap of 177147"),
+     (yhz, "_steps", None), EXIT_USAGE,
+     "error: yhz of (12, 12) needs chain work n^6 D = 101559956668416, over the cap of 20084909853888"),
     (["table", "--n", "50"], None, EXIT_USAGE, "error: table --n 50 has 204223 rows, over the cap of 200000"),
     (["table", "--n", "0"], None, EXIT_USAGE, "error: --n must be at least 1, got 0"),
     (["verify", "--suite", "nope"], None, EXIT_USAGE,
@@ -615,13 +618,19 @@ ERROR_CONTRACT = [
     (["classify", "--coeffs", "1,-1,-3,5,-2"],
      (disc, "poly_div", _raises(NonExactDivision("polynomial division left a remainder"))), EXIT_INTERNAL,
      "internal error: polynomial division left a remainder"),
+    # in a batch, every error names its line and keeps its exit code
+    (["classify", "--file", "batch.txt"],
+     (disc, "poly_div", _raises(NonExactDivision("polynomial division left a remainder"))), EXIT_INTERNAL,
+     "internal error: line 2: polynomial division left a remainder"),
     (["table", "--n", "5", "--measure"], (cli, "dmu", _raises(RuntimeError("kernel bug"))), EXIT_INTERNAL,
      "internal error: kernel bug"),
 ]
 
 
-def test_error_contract(monkeypatch, capsys):
+def test_error_contract(tmp_path, monkeypatch, capsys):
     # every failure leaves stdout empty and names itself on stderr's first line
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "batch.txt").write_text("# a comment, then (x - 1)^3 (x + 2)\n1,-1,-3,5,-2\n")
     for argv, patch, code, first in ERROR_CONTRACT:
         with monkeypatch.context() as m:
             if patch:

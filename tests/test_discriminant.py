@@ -25,6 +25,7 @@ from multdisc.subresultants import subresultant_det
 from multdisc.suites import run_suite
 from multdisc.sympoly import SymPoly
 from multdisc.unipoly import Poly, generic_poly, parse_poly
+from multdisc.yhz import YHZ_WORK_CAP, yhz_degree
 
 from helpers import psd_oracle, translate
 
@@ -44,7 +45,6 @@ F22 = parse_poly("1,0,-2,0,1")  # (x^2-1)^2
 def test_symbolic_quartic_is_the_known_condition():
     result = dmu(generic_poly(4), (3, 1))
     assert result.term_count == 4
-    assert result.matrix_dim == 7
     assert result.value == SymPoly(5, C1_PRIME)
     assert result.value.is_homogeneous()
     assert result.value.total_degree() == 7
@@ -228,7 +228,6 @@ def test_dmu_guards():
     with pytest.raises(MultdiscError, match="symbolic dmu capped at degree 7"):
         dmu(generic_poly(8), (7, 1))
     result = dmu(generic_poly(7), (6, 1))
-    assert result.matrix_dim == 13
     assert len(result.value.terms) == 37
     assert result.value.is_homogeneous()
     assert result.value.total_degree() == 13
@@ -340,7 +339,7 @@ def test_classify_trivial_ndr_branch():
 
 def test_classify_report_certificates():
     report = classify_report(F31)
-    assert report.degree == 4 and report.ndr == 2
+    assert report.ndr == 2
     assert report.multiplicity == (3, 1)
     assert report.certificates == (((3, 1), -729), ((2, 2), 0))
 
@@ -419,32 +418,49 @@ def test_seeded_suites_pass(suite):
 
 
 def test_dmu_newton_cap(monkeypatch):
-    # the convolution terms prod_v (c_v + 1)(c_v + 2)/2 are counted from mu
-    # before any arithmetic: (6,5,4,3,2,1,1) needs 3,175,200, over the cap
+    # the matrix-vector work prod_v (c_v + 1) n^3 is counted from mu before
+    # any arithmetic: (6,5,4,3,2,1,1) needs 80,498,880, over the cap
     def reached(F, values):
         raise RuntimeError("columns built")
 
     monkeypatch.setattr(disc, "_scaled_columns", reached)
     F = Poly([1] + [0] * 21 + [-1])
-    with pytest.raises(MultdiscError, match="needs 3175200 convolution terms, over the cap of 2000000"):
+    with pytest.raises(MultdiscError, match=r"needs prod_v \(c_v \+ 1\) n\^3 = 80498880, over the cap of 50000000"):
         dmu(F, (6, 5, 4, 3, 2, 1, 1))
-    # the largest partition of n = 21, 1,587,600 terms, is admitted
+    # the largest partition of n = 21, at 46,675,440, is admitted
     with pytest.raises(RuntimeError, match="columns built"):
         dmu(Poly([1] + [0] * 20 + [-1]), (6, 5, 4, 3, 2, 1))
-    # the matrix-vector work prod_v (c_v + 1) n^3 is bounded too: 1^180 has
-    # only 16,471 convolution terms but took 104 s
+    # 1^180 has only 16,471 convolution terms but took 104 s
     for n in (84, 180):
         with pytest.raises(MultdiscError, match=r"needs prod_v \(c_v \+ 1\) n\^3 = \d+, over the cap of 50000000"):
             dmu(Poly([1] + [0] * (n - 1) + [-1]), (1,) * n)
     with pytest.raises(RuntimeError, match="columns built"):
         dmu(Poly([1] + [0] * 82 + [-1]), (1,) * 83)
-    # every partition of n <= 21 is admitted by both caps
+    # every partition of n <= 21 is admitted
     for n in range(1, 22):
         F = Poly([1] + [0] * (n - 1) + [-1])
         for m in range(1, n + 1):
             for mu in partitions(n, m):
                 with pytest.raises(RuntimeError, match="columns built"):
                     dmu(F, mu)
+
+
+def test_work_caps_bound_terms_and_degree():
+    # pure arithmetic over every partition of n <= 40: each work cap refuses
+    # every partition over 2,000,000 Newton convolution terms, or over
+    # closed-form yhz degree 3^11, before any arithmetic
+    over_terms = over_degree = 0
+    for n in range(1, 41):
+        for m in range(1, n + 1):
+            for mu in partitions(n, m):
+                c = [v * mu.count(v) for v in set(mu)]
+                if prod((ck + 1) * (ck + 2) // 2 for ck in c) > 2_000_000:
+                    over_terms += 1
+                    assert prod(ck + 1 for ck in c) * n**3 > disc.NEWTON_WORK_CAP, mu
+                if 2 <= m <= n - 2 and (degree := yhz_degree(mu)) > 3**11:
+                    over_degree += 1
+                    assert n**6 * degree > YHZ_WORK_CAP, mu
+    assert over_terms and over_degree
 
 
 def test_classify_candidate_cap():

@@ -249,3 +249,28 @@ def test_the_scan_sees_an_unraised_exception():
     b = ast.parse("import a\n\ndef f():\n    raise a.Used('x')\n\ndef g():\n    raise Bare\n")
     assert _unraised_exceptions([a, b]) == ["Base", "Unused"]
     assert _unraised_exceptions([a]) == ["Bare", "Base", "Unused", "Used"]
+
+
+def _plain_value_errors(tree):
+    """The lines that raise a plain ValueError, called or bare."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and getattr(node.exc.func if isinstance(node.exc, ast.Call) else node.exc, "id", None) == "ValueError"
+    )
+
+
+def test_no_plain_value_error_is_raised():
+    # bad input raises MultdiscError, so a library caller catches one class
+    found = {p.name: lines for p in sorted(SOURCE.glob("*.py")) if (lines := _plain_value_errors(ast.parse(p.read_text())))}
+    assert found == {}
+
+
+def test_the_scan_sees_a_plain_value_error():
+    # a subclass, a re-raise and a ValueError that is only caught do not count
+    tree = ast.parse(
+        "try:\n    raise ValueError('x')\nexcept ValueError:\n    raise\n"
+        "raise MultdiscError('y')\nraise ValueError\n"
+    )
+    assert _plain_value_errors(tree) == [2, 6]

@@ -134,23 +134,23 @@ def test_condition_guards(monkeypatch):
     with pytest.raises(MultdiscError, match="symbolic chain capped at degree 7"):
         yhz_condition(generic_poly(8), (7, 1))
 
-    # numeric F is capped at closed-form degree 3^11, checked before the
-    # chain: (12, 12) has degree 3^12 and took 67 s
+    # numeric F is capped at chain work n^6 D, checked before the chain:
+    # (12, 12) has degree 3^12 and took 67 s
     def reached(G, p, ks):
         raise RuntimeError("chain reached")
 
     monkeypatch.setattr(yhz, "_steps", reached)
-    with pytest.raises(MultdiscError, match="has degree 531441, over the cap of 177147"):
+    with pytest.raises(MultdiscError, match=r"needs chain work n\^6 D = 101559956668416, over the cap of 20084909853888"):
         yhz_condition(Poly([1] + [0] * 23 + [-1]), (12, 12))
-    # and at chain work n^6 D, with D = 6n where the closed form is not
-    # stated: (79, 1) took 25 s; (60, 1) and (61) are the longest chains admitted
+    # D = 6n where the closed form is not stated: (79, 1) took 25 s;
+    # (60, 1) and (61) are the longest chains admitted
     for mu, work in (((79, 1), 80**6 * 465), ((61, 1), 62**6 * 357), ((62,), 62**6 * 6 * 62)):
         with pytest.raises(MultdiscError, match=rf"needs chain work n\^6 D = {work}, over the cap of {YHZ_WORK_CAP}"):
             yhz_condition(Poly([1] + [0] * (sum(mu) - 1) + [-1]), mu)
     for mu in ((60, 1), (61,)):
         with pytest.raises(RuntimeError, match="chain reached"):
             yhz_condition(Poly([1] + [0] * (sum(mu) - 1) + [-1]), mu)
-    # every partition of n <= 22 is admitted, (11, 11) at exactly both caps
+    # every partition of n <= 22 is admitted, (11, 11) at exactly the cap
     assert yhz_degree((11, 11)) == 3**11 and 22**6 * 3**11 == YHZ_WORK_CAP
     for n in range(4, 23):
         F = Poly([1] + [0] * (n - 1) + [-1])
