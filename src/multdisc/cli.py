@@ -24,12 +24,13 @@ import sys
 from dataclasses import asdict
 
 from .combinat import parse_partition, partition_count, partitions
-from .discriminant import CANDIDATE_CAP, classify_report, dmu, dmu_degree
+from .discriminant import CANDIDATE_CAP, check_symbolic_degree, classify_report, dmu, dmu_degree
 from .errors import Anomaly, MultdiscError
 from .scalars import format_scalar, parse_scalar
 from .suites import SUITES, run_suite
 from .unipoly import Poly, generic_poly, parse_poly
 from .yhz import (
+    check_chain,
     measured_size,
     yhz_condition,
     yhz_count,
@@ -88,7 +89,7 @@ def _classify_one(text):
     report = classify_report(poly)
     return {
         "degree": poly.degree,
-        "ndr": report.ndr,
+        "ndr": len(report.multiplicity),
         "multiplicity": list(report.multiplicity),
         "certificates": [{"mu": list(mu), "value": format_scalar(v)} for mu, v in report.certificates],
     }
@@ -133,6 +134,8 @@ def cmd_dmu(args, out):
     mu = _parse_mu(args.mu, args.n)
     if bool(args.symbolic) == bool(args.eval):
         raise MultdiscError("exactly one of --symbolic or --eval is required")
+    if args.symbolic:
+        check_symbolic_degree(args.n, "dmu")  # before the generic F is built
     F = generic_poly(args.n) if args.symbolic else _parse_input_poly(args.eval, args.n)
     result = dmu(F, mu)
     value = result.value
@@ -162,6 +165,8 @@ def cmd_dmu(args, out):
 
 def cmd_yhz(args, out):
     mu = _parse_mu(args.mu, args.n)
+    F = _parse_input_poly(args.eval, args.n) if args.eval else None
+    check_chain(mu, symbolic=F is None)  # before the closed forms and generic F, costly at large n
     stated = 2 <= len(mu) <= args.n - 2  # where the closed-form degree holds
     payload = {
         "n": args.n,
@@ -171,7 +176,7 @@ def cmd_yhz(args, out):
         "degree_lower_bound": yhz_degree_lower_bound(args.n, mu[1]) if stated else None,
     }
     if args.eval:
-        cond = yhz_condition(_parse_input_poly(args.eval, args.n), mu)
+        cond = yhz_condition(F, mu)
         equations = [format_scalar(v) for v in cond.equations]
         inequation = format_scalar(cond.inequation)
         payload.update(mode="numeric", equation_values=equations, inequation_value=inequation,

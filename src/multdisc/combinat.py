@@ -6,7 +6,8 @@ one determinant per distinct rearrangement of p.  Rearrangements are
 streamed in ascending lexicographic order and never materialised.
 """
 
-from math import factorial
+from collections import Counter
+from math import factorial, prod
 
 from .errors import MultdiscError
 
@@ -86,13 +87,7 @@ def expand_partition(mu):
 
 def repetition_constant(p):
     """Product of factorials of the occurrence counts of distinct values."""
-    counts = {}
-    for v in p:
-        counts[v] = counts.get(v, 0) + 1
-    c = 1
-    for q in counts.values():
-        c *= factorial(q)
-    return c
+    return prod(map(factorial, Counter(p).values()))
 
 
 def permutation_count(p):

@@ -12,12 +12,12 @@ exactly m distinct roots, D_mu(F) != 0 holds precisely when the
 multiplicity structure of F is mu.
 
 classify_report uses that theorem to certify, not to search, in one pass
-over F with its denominators cleared once.  The principal subresultant
-coefficients of F, F' give m, and the chain step S_(n-m) is gcd(F, F')
-up to a scalar (psd_sequence).  From it one run of Yun's squarefree
-decomposition F = c prod_i f_i^i (D. Y. Y. Yun, SYMSAC 1976), each gcd
-the primitive part of a subresultant chain step and each quotient exact,
-yields mu and its D_mu together: f_i carries the roots of multiplicity i,
+over F with its denominators cleared once.  Every gcd it takes goes
+through _gcd: the primitive part of the subresultant chain step at the
+first nonzero principal coefficient.  g = gcd(F, F') gives m = n - deg g,
+and from g one run of Yun's squarefree decomposition F = c prod_i f_i^i
+(D. Y. Y. Yun, SYMSAC 1976), each quotient exact, yields mu and its D_mu
+together: f_i carries the roots of multiplicity i,
 and each f_i of positive degree extends mu and the closed form below
 (lc and T_v = F^(v)/v! as in the next paragraph).  A root of
 multiplicity i has T_v(alpha) = 0 for v < i, so in the root-side identity
@@ -31,10 +31,10 @@ e = deg T_i - deg f_i + 1, so the resultant res(f_i, R) is
 lc(f_i)^(deg R + e deg f_i) N_i, and the whole product is one exact
 division of integers.  Every other candidate with m parts has
 D_nu = 0 by the theorem, and is reported as 0 without evaluating it.
-If the part counts of the psd and of Yun disagree, or the certificate is
-0 or not an integer, the theorem or the code is wrong, and classify
-raises Anomaly.  `verify --suite certificates` runs the
-exhaustive check: dmu on every candidate, against classify's report.
+If m and Yun's part count disagree, or the certificate is 0 or not an
+integer, the theorem or the code is wrong, and classify raises Anomaly.
+`verify --suite certificates` runs the exhaustive check: psd_sequence's
+m and dmu on every candidate, against classify's report.
 
 D_mu is not computed as one determinant per rearrangement.  Write lc for
 the leading coefficient of F, T_v = F^(v)/v! for a distinct part v,
@@ -102,6 +102,12 @@ CANDIDATE_CAP = 200_000
 NEWTON_WORK_CAP = 50_000_000
 
 
+def check_symbolic_degree(n, what):
+    """Refuse a symbolic `what` of degree n over SYMBOLIC_CAP, before F is built (MultdiscError)."""
+    if n > SYMBOLIC_CAP:
+        raise MultdiscError(f"symbolic {what} capped at degree {SYMBOLIC_CAP}")
+
+
 @dataclass(frozen=True)
 class DmuResult:
     value: object  # int (numeric) or SymPoly (symbolic)
@@ -112,13 +118,11 @@ class DmuResult:
 class PsdReport:
     psd: tuple
     ndr: int
-    gcd: Poly  # S_(n - ndr) of F, F' with F's denominators cleared: their gcd up to a scalar
 
 
 @dataclass(frozen=True)
 class ClassifyReport:
-    ndr: int
-    multiplicity: tuple
+    multiplicity: tuple  # its length is the distinct-root count
     certificates: tuple  # ((mu, value), ...) in candidate order
 
 
@@ -234,16 +238,13 @@ def dmu(F, mu):
     n = F.degree
     if sum(mu) != n:
         raise MultdiscError(f"{mu} does not partition deg F = {n}")
-    term_count = permutation_count(expand_partition(mu))
     values = sorted(set(mu))
     c = [v * mu.count(v) for v in values]
     # d(c) = n^2 - sum mu_i^2 >= n - mu_m: for m >= 2 it is
     # sum_{i != j} mu_i mu_j >= 2 mu_m (n - mu_m); for m = 1 both are 0.
     d_c = n * n - sum(p * p for p in mu)
-    symbolic = F.is_symbolic()
-    if symbolic:
-        if n > SYMBOLIC_CAP:
-            raise MultdiscError(f"symbolic dmu capped at degree {SYMBOLIC_CAP}")
+    if F.is_symbolic():
+        check_symbolic_degree(n, "dmu")
         _, cols = _scaled_columns(F, values)
         wedge = wedge_dp(cols, c)
         total = wedge.get((1 << n) - 1, 0)
@@ -258,7 +259,8 @@ def dmu(F, mu):
         g, cols = _scaled_columns(F, values)
         total = _newton_traces(g, cols, c)
         value = exact_div(total, F.lead ** (d_c - (n - mu[-1])))
-    return DmuResult(value, term_count)
+    # after both caps: n! alone takes seconds at n = 300,000
+    return DmuResult(value, permutation_count(expand_partition(mu)))
 
 
 def psd_sequence(F):
@@ -266,9 +268,8 @@ def psd_sequence(F):
 
     psd_k vanishes for k below the gcd degree of F and F' and is nonzero
     there, so the number of distinct roots is n minus the first nonzero
-    index, and the chain step there is the gcd up to a scalar.  Rational
-    coefficients are cleared first; zero-testing is
-    normalisation-independent.
+    index.  Rational coefficients are cleared first; zero-testing is
+    normalisation-independent.  It is the route that checks classify's m.
     """
     if not F:
         raise MultdiscError("psd sequence of the zero polynomial")
@@ -279,29 +280,23 @@ def psd_sequence(F):
     Fz = Poly(ints)
     chain = subresultant_chain(Fz, Fz.derivative())
     psd = tuple(chain[k].coeff(k) for k in range(n))
-    first = next(k for k, v in enumerate(psd) if v)
-    return PsdReport(psd, n - first, chain[first])
-
-
-def _primitive(P):
-    content = gcd(*P.coeffs)
-    return Poly([c // content for c in P.coeffs])
+    return PsdReport(psd, n - next(k for k, v in enumerate(psd) if v))
 
 
 def _gcd(P, Q):
     """The primitive gcd of integer P and Q, deg P > deg Q or Q = 0.
 
     It is the chain step at the first nonzero principal subresultant
-    coefficient, as in psd_sequence.
+    coefficient.  Every gcd of classify, gcd(F, F') included, is taken here.
     """
-    if not Q:
-        return _primitive(P)
-    chain = subresultant_chain(P, Q)
-    return _primitive(next(S for k, S in enumerate(chain) if S.coeff(k)))
+    if Q:
+        P = next(S for k, S in enumerate(subresultant_chain(P, Q)) if S.coeff(k))
+    content = gcd(*P.coeffs)
+    return Poly([c // content for c in P.coeffs])
 
 
 def _certify(F, g, m):
-    """mu and D_mu(F) for integer F with m distinct roots, g = gcd(F, F') up to a scalar.
+    """mu and D_mu(F) for integer F with m distinct roots, g the primitive gcd(F, F').
 
     One run of Yun's recurrence: b = F/g, d = F'/g - b'; then f_i =
     gcd(b, d), b <- b/f_i and d <- d/f_i - (b/f_i)'.  Every gcd is
@@ -310,7 +305,6 @@ def _certify(F, g, m):
     degree adds deg f_i parts i to mu and N_i^i to the closed form above.
     """
     n = F.degree
-    g = _primitive(g)
     b = poly_div(F, g)
     d = poly_div(F.derivative(), g) - b.derivative()
     mu, num, den, i = (), 1, 1, 0
@@ -333,7 +327,7 @@ def _certify(F, g, m):
         num *= subresultant_chain(f, r)[0].coeff(0) ** i
         den *= f.lead ** (i * (r.degree + (t.degree - f.degree + 1) * f.degree))
     if len(mu) != m:
-        raise Anomaly(f"the psd counts {m} distinct roots, Yun's decomposition {len(mu)}: {mu}")
+        raise Anomaly(f"gcd(F, F') leaves {m} distinct roots, Yun's decomposition {len(mu)}: {mu}")
     value, rest = divmod(F.lead ** (n - mu[-1]) * num, den)
     if rest:
         raise Anomaly(f"the certificate of {mu} is not an integer")
@@ -343,7 +337,7 @@ def _certify(F, g, m):
 
 
 def classify_report(F):
-    """Distinct-root count, multiplicity structure, and per-candidate certificates.
+    """Multiplicity structure and per-candidate certificates.
 
     Candidates other than the structure read 0 by the paper's theorem;
     see the module docstring.  They are counted before they are listed,
@@ -356,16 +350,15 @@ def classify_report(F):
         raise MultdiscError("cannot classify a constant: it has no roots")
     ints, _ = clear_denominators(list(F.coeffs))
     F = Poly(ints)
-    report = psd_sequence(F)
-    m = report.ndr
+    g = _gcd(F, F.derivative())
+    m = n - g.degree
     if (count := partition_count(n, m)) > CANDIDATE_CAP:
         raise MultdiscError(f"{count} candidate structures for degree {n}, over the cap of {CANDIDATE_CAP}")
     candidates = partitions(n, m)
     if len(candidates) == 1:  # m in {1, n - 1, n}
-        return ClassifyReport(m, candidates[0], ())
-    mu, value = _certify(F, report.gcd, m)
-    certificates = tuple((nu, value if nu == mu else 0) for nu in candidates)
-    return ClassifyReport(m, mu, certificates)
+        return ClassifyReport(candidates[0], ())
+    mu, value = _certify(F, g, m)
+    return ClassifyReport(mu, tuple((nu, value if nu == mu else 0) for nu in candidates))
 
 
 def classify(F):

@@ -140,7 +140,7 @@ def trial_certificates(rng, trial):
     linear and irreducible quadratic factors (random_factored), so roots
     are also irrational or complex; every third input is divided by a
     random denominator.  classify evaluates only the true structure's
-    certificate in closed form; dmu evaluates them all.
+    certificate in closed form; dmu evaluates them all, psd_sequence counts m.
     """
     n = rng.randint(4, 10)
     if trial % 2:
@@ -154,10 +154,11 @@ def trial_certificates(rng, trial):
     candidates = partitions(n, len(truth))
     expected = tuple((nu, dmu(F, nu).value) for nu in candidates) if len(candidates) > 1 else ()
     report = classify_report(F)
-    if report.multiplicity == truth and report.certificates == expected:
+    ndr = psd_sequence(F).ndr
+    if report.multiplicity == truth and report.certificates == expected and ndr == len(report.multiplicity):
         return None
     return (f"F={F}, structure {truth}, classified {report.multiplicity}, "
-            f"certificates {report.certificates}, dmu {expected}")
+            f"certificates {report.certificates}, dmu {expected}, psd ndr {ndr}")
 
 
 SUITES = {

@@ -83,9 +83,7 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.coeffs == other.coeffs
 
     def __neg__(self):
         return Poly([-c for c in self.coeffs])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .combinat import check_partition
-from .discriminant import SYMBOLIC_CAP
+from .discriminant import check_symbolic_degree
 from .errors import Anomaly, MultdiscError
 from .subresultants import subresultant_chain, subresultant_det
 from .unipoly import Poly
@@ -59,8 +59,8 @@ def yhz_count(mu):
 
 
 def _m_counts(mu):
-    # m_j = number of parts exceeding j (the largest k with mu_k > j)
-    return [sum(1 for part in mu if part > j) for j in range(mu[0] + 1)]
+    # m_j = number of parts exceeding j (the largest k with mu_k > j), j < mu_2
+    return [sum(1 for part in mu if part > j) for j in range(mu[1])]
 
 
 def yhz_degree(mu):
@@ -100,6 +100,19 @@ def _steps(G, p, ks):
     return [chain[k] for k in ks]
 
 
+def check_chain(mu, symbolic):
+    """Refuse mu_1 < 2, symbolic F over SYMBOLIC_CAP and numeric F over YHZ_WORK_CAP (MultdiscError)."""
+    n = sum(mu)
+    if mu[0] < 2:
+        raise MultdiscError("the chain is undefined for mu_1 < 2")
+    if symbolic:
+        check_symbolic_degree(n, "chain")
+    else:
+        degree = yhz_degree(mu) if 2 <= len(mu) <= n - 2 else 6 * n
+        if (work := n**6 * degree) > YHZ_WORK_CAP:
+            raise MultdiscError(f"yhz of {mu} needs chain work n^6 D = {work}, over the cap of {YHZ_WORK_CAP}")
+
+
 def yhz_condition(F, mu):
     """Build the chain and collect the condition values for F and mu.
 
@@ -111,22 +124,14 @@ def yhz_condition(F, mu):
     raises Anomaly, never skipped.  In numeric mode zero
     chain members simply propagate zeros into the collected values, which
     is exactly what specialising the symbolic chain would produce.
-    Symbolic F is capped at degree SYMBOLIC_CAP, numeric F at chain work
-    YHZ_WORK_CAP, both before any arithmetic (MultdiscError).
+    check_chain refuses before any arithmetic.
     """
     mu = check_partition(mu)
     n = sum(mu)
     if not F or F.degree != n:
         raise MultdiscError(f"need deg F = sum(mu) = {n}")
-    if mu[0] < 2:
-        raise MultdiscError("the chain is undefined for mu_1 < 2")
     symbolic = F.is_symbolic()
-    if symbolic and n > SYMBOLIC_CAP:
-        raise MultdiscError(f"symbolic chain capped at degree {SYMBOLIC_CAP}")
-    if not symbolic:
-        degree = yhz_degree(mu) if 2 <= len(mu) <= n - 2 else 6 * n
-        if (work := n**6 * degree) > YHZ_WORK_CAP:
-            raise MultdiscError(f"yhz of {mu} needs chain work n^6 D = {work}, over the cap of {YHZ_WORK_CAP}")
+    check_chain(mu, symbolic)
     G, equations, p = F, [], n
     for i, k in enumerate(s_sequence(mu)):
         *steps, G = _steps(G, p, [*range(k if i else 0), k])

@@ -15,7 +15,7 @@ import pytest
 
 from multdisc.cli import EXIT_OK, _evaluated_size, main
 from multdisc.combinat import partitions
-from multdisc.discriminant import classify_report, dmu, dmu_degree
+from multdisc.discriminant import classify_report, dmu, dmu_degree, psd_sequence
 from multdisc.errors import Anomaly
 from multdisc.oracle import RootSpec, dbar_mu, poly_from_roots, random_instance
 from multdisc.subresultants import subresultant_det
@@ -220,8 +220,9 @@ def test_criterion_8_specialisations(roundtrip):
         assert abs(lhs) == abs(rhs), (roots, lhs, rhs)
         done += 1
     results, _ = roundtrip
-    for spec, _, report in results:
-        assert report.ndr == len(spec.roots), spec
+    for spec, F, report in results:
+        # the distinct-root count of the principal subresultant coefficients
+        assert psd_sequence(F).ndr == len(report.multiplicity) == len(spec.roots), spec
     _report("8 discriminant specialisations", time.perf_counter() - start, 600.0)
 
 

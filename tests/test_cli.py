@@ -5,7 +5,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -26,6 +25,14 @@ def run(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+_real_certify = disc._certify
+
+
+def _wrong_count(F, g, m):
+    # a distinct-root count one above Yun's part count
+    return _real_certify(F, g, m + 1)
 
 
 def test_classify_json_schema():
@@ -160,12 +167,11 @@ def test_classify_file_names_the_bad_line(tmp_path, monkeypatch, capsys):
     assert run(["classify", "--coeffs", "0,1"]) == (EXIT_USAGE, "")
     assert capsys.readouterr().err == "error: leading coefficient is zero: '0,1'\n"
     # the prefixed error keeps its type, so an anomaly still exits 2
-    real = disc.psd_sequence
-    monkeypatch.setattr(disc, "psd_sequence", lambda F: replace(real(F), ndr=3))
+    monkeypatch.setattr(disc, "_certify", _wrong_count)
     batch.write_text("\n1,0,-6,4,9,-12,4\n")  # (x - 1)^4 (x + 2)^2
     code, text = run(["classify", "--file", str(batch), "--format", "json"])
     assert code == EXIT_ANOMALY and text == ""
-    assert capsys.readouterr().err.startswith("anomaly: line 2: the psd counts 3 distinct roots")
+    assert capsys.readouterr().err.startswith("anomaly: line 2: gcd(F, F') leaves 3 distinct roots")
 
 
 # sha256 over "<exit code>\n<stdout>" of `classify --file` on _pin_batch(),
@@ -202,6 +208,16 @@ def test_classify_file_stdout_is_pinned(tmp_path):
         code, text = run(["classify", "--file", str(batch), "--format", fmt])
         digest.update(f"{code}\n{text}".encode())
     assert digest.hexdigest() == CLASSIFY_FILE_STDOUT_SHA256
+
+
+def test_classify_takes_no_psd_sequence(tmp_path, monkeypatch):
+    # classify reads m off its own gcd; psd_sequence is the independent route
+    monkeypatch.setattr(disc, "psd_sequence", _raises(RuntimeError("psd_sequence was called")))
+    lines = _pin_batch()
+    batch = tmp_path / "batch.txt"
+    batch.write_text("\n".join(lines) + "\n")
+    code, text = run(["classify", "--file", str(batch)])
+    assert code == EXIT_OK and len(text.splitlines()) == len(lines)
 
 
 def test_dmu_symbolic_output():
@@ -465,14 +481,13 @@ def test_truncate_digits():
 
 def test_ambiguity_maps_to_anomaly_exit(monkeypatch, capsys):
     F42 = "1,0,-6,4,9,-12,4"  # (x - 1)^4 (x + 2)^2
-    # the psd and Yun disagree on the number of distinct roots
-    real = disc.psd_sequence
-    monkeypatch.setattr(disc, "psd_sequence", lambda F: replace(real(F), ndr=3))
+    # gcd(F, F') and Yun disagree on the number of distinct roots
+    monkeypatch.setattr(disc, "_certify", _wrong_count)
     code, text = run(["classify", "--coeffs", F42])
     assert code == EXIT_ANOMALY and text == ""
-    assert capsys.readouterr().err.startswith("anomaly: the psd counts 3 distinct roots")
+    assert capsys.readouterr().err.startswith("anomaly: gcd(F, F') leaves 3 distinct roots")
     # the certificate of the structure Yun finds is 0
-    monkeypatch.setattr(disc, "psd_sequence", real)
+    monkeypatch.setattr(disc, "_certify", _real_certify)
     monkeypatch.setattr(disc, "pseudo_rem", lambda P, Q: disc.Poly())
     code, text = run(["classify", "--coeffs", F42])
     assert code == EXIT_ANOMALY and text == ""
@@ -567,13 +582,6 @@ def _raises(exc):
     return raiser
 
 
-_real_certify = disc._certify
-
-
-def _wrong_count(F, g, m):
-    return _real_certify(F, g, m + 1)
-
-
 def _zero_steps(G, p, ks):
     return [Poly()] * len(ks)
 
@@ -595,13 +603,27 @@ ERROR_CONTRACT = [
      "error: bad partition '1,3': not a partition (positive, non-increasing): (1, 3)"),
     (["dmu", "--n", "4", "--mu", "3,1"], None, EXIT_USAGE, "error: exactly one of --symbolic or --eval is required"),
     (["dmu", "--n", "8", "--mu", "7,1", "--symbolic"], None, EXIT_USAGE, "error: symbolic dmu capped at degree 7"),
+    # the symbolic caps refuse before the generic F, quadratic in n, is built
+    (["dmu", "--n", "1000000", "--mu", "1000000", "--symbolic"], (cli, "generic_poly", _raises(RuntimeError("built"))),
+     EXIT_USAGE, "error: symbolic dmu capped at degree 7"),
     (["dmu", "--n", "4", "--mu", "3,1", "--eval", "1,2,3"], None, EXIT_USAGE,
      "error: --eval polynomial has degree 2, expected 4"),
     (["dmu", "--n", "22", "--mu", "6,5,4,3,2,1,1", "--eval", ",".join(["1"] + ["0"] * 21 + ["-1"])],
      (disc, "_scaled_columns", None), EXIT_USAGE,
      "error: dmu of (6, 5, 4, 3, 2, 1, 1) needs prod_v (c_v + 1) n^3 = 80498880, over the cap of 50000000"),
+    # n! of the stack count is not taken before the cap
+    (["dmu", "--n", "300000", "--mu", "299999,1", "--eval", ",".join(["1"] + ["0"] * 299999 + ["-1"])],
+     (disc, "permutation_count", _raises(RuntimeError("counted"))), EXIT_USAGE,
+     "error: dmu of (299999, 1) needs prod_v (c_v + 1) n^3 = 16200000000000000000000, over the cap of 50000000"),
     (["yhz", "--n", "8", "--mu", "7,1"], None, EXIT_USAGE, "error: symbolic chain capped at degree 7"),
+    (["yhz", "--n", "1000000", "--mu", "999999,1"], (cli, "generic_poly", _raises(RuntimeError("built"))),
+     EXIT_USAGE, "error: symbolic chain capped at degree 7"),
+    # and before the closed forms: 3^500000 alone takes seconds
+    (["yhz", "--n", "1000000", "--mu", "500000,500000"], (cli, "yhz_degree", _raises(RuntimeError("closed form"))),
+     EXIT_USAGE, "error: symbolic chain capped at degree 7"),
     (["yhz", "--n", "4", "--mu", "1,1,1,1"], None, EXIT_USAGE, "error: the chain is undefined for mu_1 < 2"),
+    # over the symbolic cap too, mu_1 < 2 is named first
+    (["yhz", "--n", "8", "--mu", "1,1,1,1,1,1,1,1"], None, EXIT_USAGE, "error: the chain is undefined for mu_1 < 2"),
     (["yhz", "--n", "24", "--mu", "12,12", "--eval", ",".join(["1"] + ["0"] * 23 + ["-1"])],
      (yhz, "_steps", None), EXIT_USAGE,
      "error: yhz of (12, 12) needs chain work n^6 D = 101559956668416, over the cap of 20084909853888"),
@@ -611,7 +633,7 @@ ERROR_CONTRACT = [
      "error: unknown suite 'nope'; choose from certificates, lemma1, lemma2, lemma3, roundtrip, scaling, yhz-agree"),
     (["verify", "--suite", "lemma2", "--trials", "0"], None, EXIT_USAGE, "error: --trials must be at least 1, got 0"),
     (["classify", "--coeffs", "1,0,-6,4,9,-12,4"], (disc, "_certify", _wrong_count), EXIT_ANOMALY,
-     "anomaly: the psd counts 3 distinct roots, Yun's decomposition 2: (4, 2)"),
+     "anomaly: gcd(F, F') leaves 3 distinct roots, Yun's decomposition 2: (4, 2)"),
     (["yhz", "--n", "4", "--mu", "3,1"], (yhz, "_steps", _zero_steps), EXIT_ANOMALY,
      "anomaly: G_1 vanishes identically for mu=(3, 1)"),
     # a non-exact division is reached only by a broken step, never by input

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import prod
 
@@ -339,7 +338,6 @@ def test_classify_trivial_ndr_branch():
 
 def test_classify_report_certificates():
     report = classify_report(F31)
-    assert report.ndr == 2
     assert report.multiplicity == (3, 1)
     assert report.certificates == (((3, 1), -729), ((2, 2), 0))
 
@@ -370,7 +368,8 @@ def test_classify_report_on_factored_inputs(seed, n, digits, den):
     F = Poly([normalize_scalar(Fraction(c, den)) for c in F.coeffs])
     report = classify_report(F)
     assert report.multiplicity == structure
-    assert report.ndr == len(structure)
+    # the psd counts the distinct roots apart from classify's gcd
+    assert psd_sequence(F).ndr == len(structure)
     for nu, value in report.certificates:
         assert value == (dmu(F, nu).value if nu == structure else 0)
     assert not report.certificates or dict(report.certificates)[structure]
@@ -476,13 +475,13 @@ def test_classify_candidate_cap():
 def test_ambiguity_aborts_loudly(monkeypatch):
     F42 = poly_from_roots(RootSpec(roots=(1, -2), mults=(4, 2), lead=1))
     assert classify(F42) == (4, 2)
-    real = disc.psd_sequence
-    # a psd count that disagrees with Yun's decomposition
+    real = disc._certify
+    # a distinct-root count that disagrees with Yun's decomposition
     for ndr in (3, 4):
-        monkeypatch.setattr(disc, "psd_sequence", lambda F: replace(real(F), ndr=ndr))
-        with pytest.raises(Anomaly, match=f"counts {ndr} distinct roots, Yun's decomposition 2"):
+        monkeypatch.setattr(disc, "_certify", lambda F, g, m: real(F, g, ndr))
+        with pytest.raises(Anomaly, match=rf"gcd\(F, F'\) leaves {ndr} distinct roots, Yun's decomposition 2"):
             classify_report(F42)
-    monkeypatch.setattr(disc, "psd_sequence", real)
+    monkeypatch.setattr(disc, "_certify", real)
     # a certificate that is 0: T_i vanishing at the roots of f_i
     monkeypatch.setattr(disc, "pseudo_rem", lambda P, Q: Poly())
     with pytest.raises(Anomaly, match=r"certificate of \(4, 2\) is 0"):

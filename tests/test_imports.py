@@ -47,17 +47,23 @@ def _references(node):
     return names
 
 
+def _unreferenced(modules):
+    """(module, name) of each module-level function and class that no other top-level statement references."""
+    nodes = [(module, node) for module, tree in modules.items() for node in tree.body]
+    refs = [_references(node) for _, node in nodes]
+    return sorted(
+        (module, node.name)
+        for i, (module, node) in enumerate(nodes)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(node.name in r for j, r in enumerate(refs) if j != i)
+    )
+
+
 def _unreferenced_private(trees):
     """The private module-level functions and classes that no other top-level statement references."""
-    nodes = [node for tree in trees for node in tree.body]
-    refs = [_references(node) for node in nodes]
     return sorted(
-        node.name
-        for i, node in enumerate(nodes)
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and not any(node.name in r for j, r in enumerate(refs) if j != i)
+        name for _, name in _unreferenced(dict(enumerate(trees)))
+        if name.startswith("_") and not name.startswith("__")
     )
 
 
@@ -73,6 +79,38 @@ def test_the_scan_sees_an_unreferenced_private_definition():
     b = ast.parse("from a import _used\nimport a\nx = a._Kept\n")
     assert _unreferenced_private([a, b]) == ["_recursive"]
     assert _unreferenced_private([a]) == ["_Kept", "_recursive", "_used"]
+
+
+def _unreferenced_public(modules, exempt=()):
+    """The public module-level functions and classes, as "module.name", that no other top-level statement references."""
+    return [
+        f"{module}.{name}" for module, name in _unreferenced(modules)
+        if not name.startswith("_") and f"{module}.{name}" not in exempt
+    ]
+
+
+# kept without a caller in the package: dmu_by_stacks is the tests' oracle
+# for dmu, and resultant is the only reader of subresultants.det, a name the
+# bench tracer patches
+UNCALLED_PUBLIC = {"oracle.dmu_by_stacks", "subresultants.resultant"}
+
+
+def test_every_public_definition_is_referenced():
+    # a re-export in __init__.py is not a use: a name only the tests call is dead weight
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SOURCE.glob("*.py")) if p.name != "__init__.py"}
+    assert _unreferenced_public(modules, exempt=UNCALLED_PUBLIC) == []
+
+
+def test_the_scan_sees_an_unreferenced_public_definition():
+    # a call from its own body does not count; a call in its own module or an import elsewhere does
+    a = ast.parse(
+        "def used():\n    return 1\n\ndef recursive(k):\n    return recursive(k - 1)\n\n"
+        "class Kept:\n    pass\n\ndef oracle():\n    return 2\n\ndef _private():\n    return 3\n\n"
+        "def local():\n    return Kept()\n"
+    )
+    b = ast.parse("from a import used\n\ndef f():\n    return used() + 1\n")
+    assert _unreferenced_public({"a": a, "b": b}, exempt={"a.oracle"}) == ["a.local", "a.recursive", "b.f"]
+    assert _unreferenced_public({"a": a}) == ["a.local", "a.oracle", "a.recursive", "a.used"]
 
 
 def _defs(tree, module):
