@@ -14,10 +14,15 @@ multiplicity structure of F is mu.
 classify_report uses that theorem to certify, not to search, in one pass
 over F with its denominators cleared once.  Every gcd it takes goes
 through _gcd: the primitive part of the subresultant chain step at the
-first nonzero principal coefficient.  g = gcd(F, F') gives m = n - deg g,
-and from g one run of Yun's squarefree decomposition F = c prod_i f_i^i
-(D. Y. Y. Yun, SYMSAC 1976), each quotient exact, yields mu and its D_mu
-together: f_i carries the roots of multiplicity i,
+first nonzero principal coefficient.  g = gcd(F, F') gives m = n - deg g.
+One image mod the prime p = GCD_PRIME = 2^31 - 1 comes first: when p does
+not divide lc(F), deg g <= deg gcd(F mod p, F' mod p) (W. S. Brown, JACM
+18(4), 1971), so an image gcd of degree 0 proves F squarefree, m = n, and
+the chain is never run.  Otherwise the chain decides, and a chain gcd
+above the image's degree raises Anomaly.  When p divides lc(F), the chain
+decides alone.  From g one run of Yun's squarefree decomposition
+F = c prod_i f_i^i (D. Y. Y. Yun, SYMSAC 1976), each quotient exact,
+yields mu and its D_mu together: f_i carries the roots of multiplicity i,
 and each f_i of positive degree extends mu and the closed form below
 (lc and T_v = F^(v)/v! as in the next paragraph).  A root of
 multiplicity i has T_v(alpha) = 0 for v < i, so in the root-side identity
@@ -100,6 +105,8 @@ CANDIDATE_CAP = 200_000
 # prod_v (c_v + 1)(c_v + 2)/2 convolution terms under 2,000,000: checked for
 # n <= 60, and above that they are at most prod_v (c_v + 1)^2 < (cap / n^3)^2
 NEWTON_WORK_CAP = 50_000_000
+# the prime of classify's one-image gcd bound: its residues are small ints
+GCD_PRIME = 2**31 - 1
 
 
 def check_symbolic_degree(n, what):
@@ -295,6 +302,36 @@ def _gcd(P, Q):
     return Poly([c // content for c in P.coeffs])
 
 
+def _gcd_degree_mod_p(F):
+    """deg gcd(F mod p, F' mod p) for integer F and p = GCD_PRIME, or None when p | lc(F).
+
+    The primitive gcd g of F and F' divides both over Z, and lc(g) divides
+    lc(F), so when p does not divide lc(F), g mod p keeps its degree and
+    divides both images: deg g is at most the degree returned.  Euclid's
+    algorithm runs fraction-free on descending residue lists.
+    """
+    p = GCD_PRIME
+    a = [c % p for c in F.coeffs]
+    if not a[0]:
+        return None
+    n = len(a) - 1
+    b = [c * (n - i) % p for i, c in enumerate(a[:-1])]
+    while any(b):
+        while not b[0]:
+            del b[0]
+        lb, tail = b[0], b[1:]
+        while len(a) > len(b) + 1:
+            # a quotient of higher degree: a <- lb a - a_0 x^(deg a - deg b) b, its top term dropped
+            top = a[0]
+            a = [(lb * x - top * y) % p for x, y in zip(a[1:], tail + [0] * (len(a) - len(b)))]
+        # then its last two terms in one pass: lb^2 a - (lb a_0 x + q) b with
+        # q = lb a_1 - a_0 b_1, its top two terms dropped
+        q = (lb * a[1] - a[0] * tail[0]) % p if tail else 0
+        u, w = lb * lb % p, lb * a[0] % p
+        a, b = b, [(u * x - w * y - q * z) % p for x, y, z in zip(a[2:], tail[1:] + [0], tail)]
+    return len(a) - 1
+
+
 def _certify(F, g, m):
     """mu and D_mu(F) for integer F with m distinct roots, g the primitive gcd(F, F').
 
@@ -350,7 +387,11 @@ def classify_report(F):
         raise MultdiscError("cannot classify a constant: it has no roots")
     ints, _ = clear_denominators(list(F.coeffs))
     F = Poly(ints)
-    g = _gcd(F, F.derivative())
+    # one image settles a squarefree F; otherwise it bounds the chain's gcd
+    bound = _gcd_degree_mod_p(F)
+    g = Poly([1]) if bound == 0 else _gcd(F, F.derivative())
+    if bound is not None and g.degree > bound:
+        raise Anomaly(f"gcd(F, F') has degree {g.degree}, above the degree {bound} of its image mod {GCD_PRIME}")
     m = n - g.degree
     if (count := partition_count(n, m)) > CANDIDATE_CAP:
         raise MultdiscError(f"{count} candidate structures for degree {n}, over the cap of {CANDIDATE_CAP}")

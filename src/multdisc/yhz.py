@@ -18,11 +18,12 @@ below by 2n + 3^(mu_2) - 4 mu_2.
 """
 
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 
 from .combinat import check_partition
 from .discriminant import check_symbolic_degree
 from .errors import Anomaly, MultdiscError
+from .scalars import format_scalar
 from .subresultants import subresultant_chain, subresultant_det
 from .unipoly import Poly
 
@@ -58,9 +59,18 @@ def yhz_count(mu):
     return 1 + sum(comb(part - 1, 2) for part in mu)
 
 
-def _m_counts(mu):
-    # m_j = number of parts exceeding j (the largest k with mu_k > j), j < mu_2
-    return [sum(1 for part in mu if part > j) for j in range(mu[1])]
+def _odd_product(mu, stop):
+    """prod of 2 m_j - 1 over j < stop, m_j the number of parts exceeding j.
+
+    m_j is constant between consecutive distinct parts, so one pow per run.
+    """
+    total, start = 1, 0
+    for v in sorted(set(mu)):
+        if start >= stop:
+            break
+        total *= (2 * sum(part > start for part in mu) - 1) ** (min(v, stop) - start)
+        start = v
+    return total
 
 
 def yhz_degree(mu):
@@ -74,13 +84,12 @@ def yhz_degree(mu):
     if not 2 <= len(mu) <= sum(mu) - 2:
         raise MultdiscError("the degree formula needs 2 <= m <= n - 2 parts")
     mu1, mu2 = mu[0], mu[1]
-    m = _m_counts(mu)
     if mu1 == mu2:
-        return prod(2 * m[j] - 1 for j in range(mu2))
+        return _odd_product(mu, mu2)
     if mu1 == mu2 + 1:
-        # the fractional middle case collapses to an integer product
-        return prod(2 * m[j] - 1 for j in range(mu2 - 1)) * (2 * m[mu2 - 1] + 1)
-    return prod(2 * m[j] - 1 for j in range(mu2)) * (2 * (mu1 - mu2) - 1)
+        # the fractional middle case collapses to an integer product; m_(mu_2 - 1) counts the parts >= mu_2
+        return _odd_product(mu, mu2 - 1) * (2 * sum(part >= mu2 for part in mu) + 1)
+    return _odd_product(mu, mu2) * (2 * (mu1 - mu2) - 1)
 
 
 def yhz_degree_lower_bound(n, mu2):
@@ -110,6 +119,7 @@ def check_chain(mu, symbolic):
     else:
         degree = yhz_degree(mu) if 2 <= len(mu) <= n - 2 else 6 * n
         if (work := n**6 * degree) > YHZ_WORK_CAP:
+            work = format_scalar(work)  # str(int) refuses more than 4300 digits
             raise MultdiscError(f"yhz of {mu} needs chain work n^6 D = {work}, over the cap of {YHZ_WORK_CAP}")
 
 

@@ -1,9 +1,10 @@
 """Smoke test of the benchmark harness: traced rounds and untraced rounds.
 
-wide drives classify, whose psd, Yun decomposition and closed-form
-certificate run on subresultant chains and never call dmu; symbolic
-drives the symbolic D_mu (checked against the pinned term counts and the
-degree 2n - mu_m) and yhz.  Each round checks that the harness runs, that
+wide drives classify, whose gcd(F, F'), Yun decomposition and
+closed-form certificate run on subresultant chains and never call dmu (no
+wide input is squarefree, so the image mod p never skips the chain);
+symbolic drives the symbolic D_mu (checked against the pinned term counts
+and the degree 2n - mu_m) and yhz.  Each round checks that the harness runs, that
 every answer is correct and that its spans still reach the library (the
 tracer patches names such as multdisc.discriminant.subresultant_chain and
 multdisc.discriminant.dmu); it makes no timing assertion.  roundtrip and

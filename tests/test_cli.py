@@ -634,6 +634,9 @@ ERROR_CONTRACT = [
     (["verify", "--suite", "lemma2", "--trials", "0"], None, EXIT_USAGE, "error: --trials must be at least 1, got 0"),
     (["classify", "--coeffs", "1,0,-6,4,9,-12,4"], (disc, "_certify", _wrong_count), EXIT_ANOMALY,
      "anomaly: gcd(F, F') leaves 3 distinct roots, Yun's decomposition 2: (4, 2)"),
+    # a chain gcd above the degree of its image mod GCD_PRIME
+    (["classify", "--coeffs", "1,-1,-3,5,-2"], (disc, "_gcd", lambda P, Q: P), EXIT_ANOMALY,
+     "anomaly: gcd(F, F') has degree 4, above the degree 2 of its image mod 2147483647"),
     (["yhz", "--n", "4", "--mu", "3,1"], (yhz, "_steps", _zero_steps), EXIT_ANOMALY,
      "anomaly: G_1 vanishes identically for mu=(3, 1)"),
     # a non-exact division is reached only by a broken step, never by input

@@ -375,6 +375,62 @@ def test_classify_report_on_factored_inputs(seed, n, digits, den):
     assert not report.certificates or dict(report.certificates)[structure]
 
 
+def _factored_input(seed, n, digits, squarefree):
+    """random_factored's F, or a product of its squarefree factors of degree 1 and 2."""
+    if not squarefree:
+        return random_factored(seed, n, digits)[0]
+    F, rng = Poly([1]), random.Random(seed)
+    while F.degree < n:
+        factor, structure = random_factored(rng.randrange(2**32), min(rng.randint(1, 2), n - F.degree), digits)
+        if set(structure) == {1}:
+            F = F * factor
+    return F
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.sampled_from((1, 3, 100)), st.booleans())
+@example(seed=3, n=10, digits=100, squarefree=True)
+def test_gcd_degree_mod_p_bounds_the_chain(seed, n, digits, squarefree):
+    # the image's gcd degree bounds the chain's, and classify's m is the psd's
+    F = _factored_input(seed, n, digits, squarefree)
+    if seed % 3 == 0:
+        F = Poly([normalize_scalar(Fraction(c, 999983)) for c in F.coeffs])
+    Fz = Poly(clear_denominators(list(F.coeffs))[0])
+    bound = disc._gcd_degree_mod_p(Fz)
+    assert bound is None or bound >= disc._gcd(Fz, Fz.derivative()).degree
+    assert len(classify(F)) == psd_sequence(F).ndr
+
+
+def test_gcd_degree_mod_p_is_the_first_nonzero_psd_mod_p():
+    # the psd of (F, F') mod p, read off the exact chain, is the reference;
+    # sparse inputs and coefficients of +-p make remainders drop several degrees
+    p, rng = disc.GCD_PRIME, random.Random(28)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        F = Poly([rng.choice((1, -2, 3))] + [rng.choice((0, 0, 0, 1, -1, 2, p, -p)) for _ in range(n)])
+        psd = psd_sequence(F).psd
+        assert disc._gcd_degree_mod_p(F) == next(k for k, v in enumerate(psd) if v % p)
+
+
+def test_the_chain_decides_when_the_image_cannot():
+    # x^2 - p x = x (x - p) is x^2 mod p; p x^2 + x - 1 loses its lead mod p
+    p = disc.GCD_PRIME
+    assert disc._gcd_degree_mod_p(Poly([1, -p, 0])) == 1
+    assert disc._gcd_degree_mod_p(Poly([p, 1, -1])) is None
+    assert classify(Poly([1, -p, 0])) == (1, 1)
+    assert classify(Poly([p, 1, -1])) == (1, 1)
+
+
+def test_squarefree_input_takes_no_chain(monkeypatch):
+    F = poly_from_roots(RootSpec(roots=tuple(range(-12, 12)), mults=(1,) * 24, lead=3))
+    assert disc._gcd_degree_mod_p(F) == 0
+
+    def no_chain(P, Q):
+        raise AssertionError("the chain ran")
+
+    monkeypatch.setattr(disc, "_gcd", no_chain)
+    assert classify_report(F) == disc.ClassifyReport((1,) * 24, ())
+
+
 def test_classify_high_degree_closed_form():
     # (k, k-1, ..., 1) at n = 21, 28, 45, at n = 21 with roots of up to 100
     # digits (coefficients of about 2,100), and (2, 2, 1^56) at n = 60, a

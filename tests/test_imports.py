@@ -312,3 +312,49 @@ def test_the_scan_sees_a_plain_value_error():
         "raise MultdiscError('y')\nraise ValueError\n"
     )
     assert _plain_value_errors(tree) == [2, 6]
+
+
+
+def _import_time_work(tree):
+    """The module-level statements, as source text, that do work when the module is imported.
+
+    Allowed: imports, def and class (decorators included), the docstring,
+    the __main__ guard, and assignments with no call and no comprehension.
+    """
+    computed = (ast.Call, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    work = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            continue
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and not any(isinstance(s, computed) for s in ast.walk(node)):
+            continue
+        work.append(ast.unparse(node).splitlines()[0])
+    return work
+
+
+# the zero polynomial's degree sentinel: one instance of a slotted class
+IMPORT_TIME_WORK = {"unipoly.py": ["NEG_INF = _NegInfDegree()"]}
+
+
+def test_no_import_time_work():
+    # every fresh import pays for module-level work: a table or a prime list belongs in a function
+    found = {p.name: work for p in sorted(SOURCE.glob("*.py")) if (work := _import_time_work(ast.parse(p.read_text())))}
+    assert found == IMPORT_TIME_WORK
+
+
+def test_the_scan_sees_import_time_work():
+    # constant arithmetic, decorators and the main guard do not count; a call or comprehension does
+    tree = ast.parse(
+        '"""Doc."""\nimport os\nfrom math import prod\nP = 2**31 - 1\nNAMES: tuple = ("a", "b")\n'
+        "@dataclass(frozen=True)\nclass K:\n    x: int\n\ndef f(a=1):\n    return prod([a])\n\n"
+        "PRIMES = [q for q in range(3, 99, 2)]\nSIZE = len(NAMES)\nTABLE = {k: 1 for k in NAMES}\n"
+        "print(P)\nfor k in NAMES:\n    pass\n\nif __name__ == '__main__':\n    f()\n"
+    )
+    assert _import_time_work(tree) == [
+        "PRIMES = [q for q in range(3, 99, 2)]", "SIZE = len(NAMES)", "TABLE = {k: 1 for k in NAMES}",
+        "print(P)", "for k in NAMES:",
+    ]

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,17 @@ def test_condition_guards(monkeypatch):
                 if mu[0] >= 2:
                     with pytest.raises(RuntimeError, match="chain reached"):
                         yhz_condition(F, mu)
+
+
+def test_numeric_refusal_past_the_int_str_limit():
+    # n^6 D has about 47,700 digits at (100000, 100000), over Python's 4300-digit
+    # str limit: the refusal still names the cap, and the closed form takes
+    # one pow per run of equal factors
+    start = time.perf_counter()
+    with pytest.raises(MultdiscError, match=rf"needs chain work n\^6 D = \d{{4301,}}, over the cap of {YHZ_WORK_CAP}$"):
+        yhz.check_chain((100000, 100000), symbolic=False)
+    assert time.perf_counter() - start < 1
+    assert yhz_degree((100000, 100000)) == 3**100000
 
 
 def test_numeric_truth_agrees_with_structure_and_discriminant():
