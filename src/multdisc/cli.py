@@ -109,17 +109,21 @@ def cmd_classify(args, out):
               for c in report["certificates"]),
         ])
         return EXIT_OK
-    with open(args.file) as handle:
-        lines = [(k, line.strip()) for k, line in enumerate(handle, 1)
-                 if line.strip() and not line.lstrip().startswith("#")]
-    for k, line in lines:  # each report is written before the next line is read
-        try:
-            report = _classify_one(line)
-        except Exception as exc:
-            # the class, and so the exit code, stays; only the message gains the line
-            exc.args = (f"line {k}: {exc}",)
-            raise
-        _emit(args, out, report, lambda: [_batch_line(line, report, digits)])
+    # decoded per line: each report is written before the next line is read
+    with open(args.file, "rb") as handle:
+        for k, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode().strip()
+                if not line or line.startswith("#"):
+                    continue
+                report = _classify_one(line)
+            except UnicodeDecodeError as exc:  # its text comes from its fields, not args
+                raise MultdiscError(f"line {k}: {exc}") from exc
+            except Exception as exc:
+                # the class, and so the exit code, stays; only the message gains the line
+                exc.args = (f"line {k}: {exc}",)
+                raise
+            _emit(args, out, report, lambda: [_batch_line(line, report, digits)])
     return EXIT_OK
 
 

@@ -87,7 +87,7 @@ from operator import mul
 from .combinat import check_partition, expand_partition, partition_count, partitions, permutation_count
 from .errors import Anomaly, MultdiscError
 from .linalg import wedge_dp
-from .scalars import clear_denominators, exact_div
+from .scalars import clear_denominators, exact_div, format_scalar
 from .subresultants import pseudo_rem, subresultant_chain
 from .sympoly import SymPoly, sympoly_div
 from .unipoly import Poly, poly_div
@@ -113,6 +113,15 @@ def check_symbolic_degree(n, what):
     """Refuse a symbolic `what` of degree n over SYMBOLIC_CAP, before F is built (MultdiscError)."""
     if n > SYMBOLIC_CAP:
         raise MultdiscError(f"symbolic {what} capped at degree {SYMBOLIC_CAP}")
+
+
+def over_cap(command, mu, measure, work, cap):
+    """The one-line MultdiscError of a numeric command on mu whose work, by measure, is over cap."""
+    if len(mu) > 10:  # by its first parts and its part count
+        mu = f"({', '.join(map(str, mu[:5]))}, ..., {len(mu)} parts)"
+    if len(work := format_scalar(work)) > 30:  # by its size; str(int) refuses 4300 digits
+        work = f"a number of {len(work)} digits"
+    return MultdiscError(f"{command} of {mu} needs {measure} = {work}, over the cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -260,7 +269,7 @@ def dmu(F, mu):
         value = sympoly_div(total, F.lead ** (d_c - (n - mu[-1])))
     else:
         if (work := prod(ck + 1 for ck in c) * n**3) > NEWTON_WORK_CAP:
-            raise MultdiscError(f"dmu of {mu} needs prod_v (c_v + 1) n^3 = {work}, over the cap of {NEWTON_WORK_CAP}")
+            raise over_cap("dmu", mu, "prod_v (c_v + 1) n^3", work, NEWTON_WORK_CAP)
         ints, _ = clear_denominators(list(F.coeffs))
         F = Poly(ints)
         g, cols = _scaled_columns(F, values)

@@ -1,9 +1,10 @@
 """Exact linear algebra over the integer, rational and symbolic rings.
 
-Integer and rational determinants are computed fraction-free (Bareiss
-elimination with first-nonzero pivoting, each division a
-scalars.exact_div over Z or Q, the ring decided once per matrix by exact
-type as in scalars).  Symbolic matrices never reach Bareiss:
+Integer and rational determinants are computed fraction-free over Z
+(Bareiss elimination with first-nonzero pivoting, each division an exact
+one in Z; E. H. Bareiss, Math. Comp. 22, 1968): a rational row is cleared
+to integers first, and the determinant is divided once by the product of
+the row factors.  Symbolic matrices never reach Bareiss:
 banded and mostly zero here, they would swell under it, so all of them
 go to one division-free kernel, wedge_dp: a forward DP that takes
 one line per step from one of several sources (one source for det and
@@ -33,7 +34,7 @@ small oracle computations.
 from fractions import Fraction
 
 from .errors import MultdiscError
-from .scalars import exact_div, in_z
+from .scalars import clear_denominators, exact_div
 from .sympoly import SymPoly, sum_of_products
 
 PERMANENT_CAP = 14
@@ -95,12 +96,13 @@ def dets_with_last_row(rows, lasts):
 
 
 def _det_bareiss(rows):
-    n = len(rows)
-    a = [list(r) for r in rows]
-    # over Q a Fraction divisor keeps exact_div from dividing two int minors in Z
-    over_z = all(map(in_z, a))
-    sign = 1
-    prev = 1 if over_z else Fraction(1)
+    a, scale = [], 1
+    for row in rows:
+        ints, factor = clear_denominators(row)
+        a.append(ints)
+        scale *= factor
+    n = len(a)
+    sign = prev = 1
     for k in range(n - 1):
         if not a[k][k]:
             for r in range(k + 1, n):
@@ -118,8 +120,9 @@ def _det_bareiss(rows):
             for j in range(k + 1, n):
                 row_i[j] = exact_div(piv * row_i[j] - aik * row_k[j], prev)
             row_i[k] = 0
-        prev = piv if over_z else Fraction(piv)
-    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+        prev = piv
+    value = a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+    return value if scale == 1 else exact_div(Fraction(value), scale)
 
 
 def _weight(line):

@@ -7,15 +7,13 @@ printing, exact division and denominator clearing.  Fractions that reduce
 to whole numbers are normalised back to ``int`` so that integer-only code
 paths (fraction-free elimination in particular) stay in the integer ring.
 
-exact_div is one plain function over int and Fraction, with no registry:
-the symbolic ring divides through sympoly.sympoly_div and polynomials
-through unipoly.poly_div, each called directly.
-
-The ring of a batch of values is decided once, by exact type (in_z):
-when every value has ``type(v) is int`` it is Z, and anything else takes
-the Q handling.  clear_denominators, format_scalar, unipoly.poly_div and
-linalg's Bareiss determinant apply that rule instead of asking
-``isinstance(v, Fraction)`` of each value, which dispatches through
+Q is handled here alone.  Rationals are cleared once, where they enter:
+clear_denominators scales a batch of values to integers, and the exact
+kernels that follow (unipoly.poly_div, linalg's Bareiss determinant, the
+Newton kernel and classify's gcds) run over Z only.  exact_div is the one
+division that stays over Z or Q, for the values that stay rational.  A
+batch is integral when every value has ``type(v) is int``, tested by exact
+type rather than by ``isinstance(v, Fraction)``, which dispatches through
 ``ABCMeta.__instancecheck__`` every time.
 """
 
@@ -25,11 +23,6 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import MultdiscError, NonExactDivision
-
-
-def in_z(values):
-    """True when every value is exactly an int: the ring is Z, else Q."""
-    return set(map(type, values)) <= {int}
 
 
 def normalize_scalar(value):
@@ -102,7 +95,7 @@ def clear_denominators(values):
     Returns (ints, factor) with ints[i] == factor * values[i] and factor
     the positive lcm of the denominators.
     """
-    if in_z(values):
+    if set(map(type, values)) <= {int}:
         return list(values), 1
     factor = lcm(*(v.denominator for v in values))
     return [int(v * factor) for v in values], factor

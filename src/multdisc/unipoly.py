@@ -6,18 +6,15 @@ tuple, descending by degree, with no leading zero; the zero polynomial is
 the empty tuple and its degree is the NEG_INF sentinel, which orders below
 every integer but refuses arithmetic, so a forgotten zero check fails
 loudly instead of producing nonsense degrees.  The exact division
-poly_div takes int and Fraction coefficients only.  It decides its ring
-once per call, by exact type (see scalars): Z when every coefficient is
-an int, else Q.  Yun's quotients run over Z; the subresultant chain
-works on plain coefficient lists (subresultants) and wraps in Poly only
-the chain it returns.
+poly_div runs over Z only: its callers clear denominators first (see
+scalars).  The subresultant chain works on plain coefficient lists
+(subresultants) and wraps in Poly only the chain it returns.
 """
 
-from fractions import Fraction
 from math import comb
 
 from .errors import MultdiscError, NonExactDivision
-from .scalars import exact_div, format_scalar, in_z, parse_scalar
+from .scalars import format_scalar, parse_scalar
 from .sympoly import SymPoly
 
 
@@ -187,27 +184,21 @@ def generic_poly(n):
 
 
 def poly_div(a, b):
-    """Exact division of polynomials over Z or Q, raising NonExactDivision on remainder.
+    """Exact division of integer polynomials, raising NonExactDivision on a remainder.
 
-    The ring is decided once: Z when every coefficient of a and b is an
-    int, else Q, so an int leading coefficient then divides as a rational.
+    Each quotient coefficient is a divmod by lc(b), so one that is not an
+    integer raises as well.  A division that completes is exact, so a
+    rational operand can make it raise but never return a wrong quotient.
     """
     if not b:
         raise ZeroDivisionError("exact division by the zero polynomial")
-    bc = b.coeffs
-    lead, tail, nb = bc[0], bc[1:], len(bc)
-    over_z = in_z(a.coeffs) and in_z(bc)
-    if not over_z:
-        lead = Fraction(lead)  # exact_div then divides in Q, not int / int in Z
+    lead, *tail = b.coeffs
     rem = list(a.coeffs)
     quot = []
-    for i in range(len(rem) - nb + 1):
-        if over_z:
-            q, r = divmod(rem[i], lead)
-            if r:
-                raise NonExactDivision("polynomial division left a remainder")
-        else:
-            q = exact_div(rem[i], lead)
+    for i in range(len(rem) - len(tail)):
+        q, r = divmod(rem[i], lead)
+        if r:
+            raise NonExactDivision("polynomial division left a remainder")
         quot.append(q)
         # rem[i] is now q * lead - q * lead = 0
         if q:

