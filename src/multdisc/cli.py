@@ -23,10 +23,10 @@ import random
 import sys
 from dataclasses import asdict
 
-from .combinat import parse_partition, partition_count, partitions
+from .combinat import parse_partition, partition_count, partition_name, partitions
 from .discriminant import CANDIDATE_CAP, check_symbolic_degree, classify_report, dmu, dmu_degree
 from .errors import Anomaly, MultdiscError
-from .scalars import format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar, quote_field
 from .suites import SUITES, run_suite
 from .unipoly import Poly, generic_poly, parse_poly
 from .yhz import (
@@ -56,9 +56,9 @@ def _parse_mu(text, n):
     try:
         mu = parse_partition(text)
     except MultdiscError as exc:
-        raise MultdiscError(f"bad partition {text!r}: {exc}") from exc
+        raise MultdiscError(f"bad partition {quote_field(text)}: {exc}") from exc
     if sum(mu) != n:
-        raise MultdiscError(f"{_mu_str(mu)} does not partition n = {n}")
+        raise MultdiscError(f"{partition_name(mu, _mu_str)} does not partition n = {n}")
     return mu
 
 
@@ -66,7 +66,7 @@ def _parse_input_poly(text, degree=None):
     poly = parse_poly(text)  # raises on an empty field
     # Poly drops leading zeros, so the lead is checked on the raw field
     if not parse_scalar(text.split(",", 1)[0]):
-        raise MultdiscError(f"leading coefficient is zero: {text!r}")
+        raise MultdiscError(f"leading coefficient is zero: {quote_field(text)}")
     if degree is not None and poly.degree != degree:
         raise MultdiscError(f"--eval polynomial has degree {poly.degree}, expected {degree}")
     return poly

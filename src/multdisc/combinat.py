@@ -10,12 +10,20 @@ from collections import Counter
 from math import factorial, prod
 
 from .errors import MultdiscError
+from .scalars import quote_field
 
 
 def check_partition(mu):
     if not (mu and all(isinstance(x, int) and x >= 1 for x in mu) and all(a >= b for a, b in zip(mu, mu[1:]))):
-        raise MultdiscError(f"not a partition (positive, non-increasing): {mu}")
+        raise MultdiscError(f"not a partition (positive, non-increasing): {partition_name(mu)}")
     return tuple(mu)
+
+
+def partition_name(mu, short=str):
+    """mu named in an error message: short(mu), or past 10 parts its first 5 parts and its part count."""
+    if len(mu) > 10:
+        return f"({', '.join(map(str, mu[:5]))}, ..., {len(mu)} parts)"
+    return short(mu)
 
 
 def parse_partition(text):
@@ -23,7 +31,7 @@ def parse_partition(text):
     try:
         mu = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise MultdiscError(f"not a comma-separated partition: {text!r}") from exc
+        raise MultdiscError(f"not a comma-separated partition: {quote_field(text)}") from exc
     return check_partition(mu)
 
 

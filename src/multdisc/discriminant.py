@@ -84,11 +84,11 @@ from itertools import product
 from math import factorial, gcd, prod
 from operator import mul
 
-from .combinat import check_partition, expand_partition, partition_count, partitions, permutation_count
+from .combinat import check_partition, expand_partition, partition_count, partition_name, partitions, permutation_count
 from .errors import Anomaly, MultdiscError
 from .linalg import wedge_dp
 from .scalars import clear_denominators, exact_div, format_scalar
-from .subresultants import pseudo_rem, subresultant_chain
+from .subresultants import _prem, subresultant_chain
 from .sympoly import SymPoly, sympoly_div
 from .unipoly import Poly, poly_div
 
@@ -117,11 +117,9 @@ def check_symbolic_degree(n, what):
 
 def over_cap(command, mu, measure, work, cap):
     """The one-line MultdiscError of a numeric command on mu whose work, by measure, is over cap."""
-    if len(mu) > 10:  # by its first parts and its part count
-        mu = f"({', '.join(map(str, mu[:5]))}, ..., {len(mu)} parts)"
     if len(work := format_scalar(work)) > 30:  # by its size; str(int) refuses 4300 digits
         work = f"a number of {len(work)} digits"
-    return MultdiscError(f"{command} of {mu} needs {measure} = {work}, over the cap of {cap}")
+    return MultdiscError(f"{command} of {partition_name(mu)} needs {measure} = {work}, over the cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,7 @@ def dmu_degree(n, mu):
     """Total degree of D_mu in the coefficients: 2n - mu_m."""
     mu = check_partition(mu)
     if sum(mu) != n:
-        raise MultdiscError(f"{mu} is not a partition of {n}")
+        raise MultdiscError(f"{partition_name(mu)} is not a partition of {n}")
     return 2 * n - mu[-1]
 
 
@@ -253,7 +251,7 @@ def dmu(F, mu):
         raise MultdiscError("dmu of the zero polynomial")
     n = F.degree
     if sum(mu) != n:
-        raise MultdiscError(f"{mu} does not partition deg F = {n}")
+        raise MultdiscError(f"{partition_name(mu)} does not partition deg F = {n}")
     values = sorted(set(mu))
     c = [v * mu.count(v) for v in values]
     # d(c) = n^2 - sum mu_i^2 >= n - mu_m: for m >= 2 it is
@@ -366,7 +364,7 @@ def _certify(F, g, m):
         mu = (i,) * f.degree + mu
         # deg T_i = n - i >= deg f_i, as F has a root outside f_i
         t = F.taylor_derivative(i)
-        r = pseudo_rem(t, f)
+        r = Poly(_prem(t.coeffs, f.coeffs))
         if not r:
             num = 0
             continue

@@ -36,8 +36,8 @@ def parse_scalar(text):
     """Parse an integer or a ``p/q`` rational from text.
 
     Python's limit on int-from-str conversion bounds each part; a part
-    over it is named by its digit count.  An error quotes at most 20
-    characters of the field, and names the length of a longer one.
+    over it is named by its digit count.  An error quotes the field
+    through quote_field.
     """
     text = text.strip()
     try:
@@ -50,11 +50,16 @@ def parse_scalar(text):
         digits = max(sum(ch.isdigit() for ch in part) for part in text.split("/"))
         if limit and digits > limit:
             raise MultdiscError(
-                f"a coefficient of {digits} digits is over the {limit}-digit limit: {text[:20]!r}..."
+                f"a coefficient of {digits} digits is over the {limit}-digit limit: {quote_field(text)}"
             ) from exc
-        if len(text) > 20:
-            raise MultdiscError(f"not an exact scalar: {text[:20]!r}... ({len(text)} characters)") from exc
-        raise MultdiscError(f"not an exact scalar: {text!r}") from exc
+        raise MultdiscError(f"not an exact scalar: {quote_field(text)}") from exc
+
+
+def quote_field(text):
+    """An input field quoted for an error message: past 20 characters, its first 20 and its length."""
+    if len(text) > 20:
+        return f"{text[:20]!r}... ({len(text)} characters)"
+    return repr(text)
 
 
 def format_scalar(value):

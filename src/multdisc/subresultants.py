@@ -16,7 +16,7 @@ Two routes compute the same chain:
 
 * subresultant_chain: the classical subresultant remainder sequence,
   pseudo-divisions and exact scalar divisions only.  Fast; the production
-  path for numeric polynomials.  One kernel serves Z and Q: pseudo_rem and
+  path for numeric polynomials.  One kernel serves Z and Q: _prem and
   the sequence run on plain coefficient lists, each scalar division goes
   through scalars.exact_div (which raises on a remainder over Z), and only
   the returned chain is wrapped in Poly.
@@ -37,7 +37,9 @@ from .unipoly import Poly
 
 
 def _prem(r, q):
-    """prem on descending coefficient lists, len(r) >= len(q) >= 1; no leading zero out."""
+    """prem(r, q) = lc(q)^(deg r - deg q + 1) r mod q on descending lists, len(r) >= len(q) >= 1.
+
+    q has no leading zero, and neither has the remainder."""
     lq, tail, nq = q[0], q[1:], len(q)
     if nq == 1:  # a constant divides everything
         return []
@@ -49,15 +51,6 @@ def _prem(r, q):
     while i < len(r) and not r[i]:
         i += 1
     return r[i:]
-
-
-def pseudo_rem(P, Q):
-    """prem(P, Q): remainder of lc(Q)^(deg P - deg Q + 1) * P under division by Q."""
-    if not Q:
-        raise ZeroDivisionError("pseudo-division by the zero polynomial")
-    if P.degree < Q.degree:
-        raise MultdiscError("pseudo_rem expects deg P >= deg Q")
-    return Poly(_prem(P.coeffs, Q.coeffs))
 
 
 def _degrees(P, Q, k):

@@ -30,10 +30,12 @@ Sums of products.  sum_of_products(pairs) returns the sum of x * y over
 straight into one term dict and drops zero coefficients once at the end,
 so a dot product builds no SymPoly per product and never copies a partial
 sum, as a chain of __mul__ and __add__ would.  The product-degree guard
-and the variable-count check run once per pair.  __mul__ is the one-pair
-case.  The other callers are linalg's symbolic determinant kernel:
-wedge_dp sums once per state it reaches, and the last step of
-dets_with_last_row, which det runs with one last line, once per last line.
+and the variable-count check run once per pair.  +, - and * all go
+through it: __mul__ is the one-pair case, __neg__ the pair (self, -1),
+and __add__ and __sub__ pair their two operands with factors 1 and +-1.
+The other callers are linalg's symbolic determinant kernel: wedge_dp
+sums once per state it reaches, and the last step of dets_with_last_row,
+which det runs with one last line, once per last line.
 
 The public form stays the exponent tuple: the constructor and repr take
 or give tuples, and evaluate unpacks.  str splits each key into a high
@@ -107,53 +109,37 @@ class SymPoly:
         exps = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, {exps: 1})
 
-    def _coerce(self, other):
-        if isinstance(other, SymPoly):
-            if other.nvars != self.nvars:
-                raise MultdiscError("mixing SymPolys with different variable counts")
-            return other
-        if isinstance(other, int):
-            return SymPoly.const(self.nvars, other)
-        return None
-
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, int):
+            other = SymPoly.const(self.nvars, other)
+        elif not isinstance(other, SymPoly):
             return NotImplemented
+        elif other.nvars != self.nvars:
+            raise MultdiscError("mixing SymPolys with different variable counts")
         return self.terms == other.terms
 
     def __neg__(self):
-        return SymPoly._packed(self.nvars, {e: -c for e, c in self.terms.items()})
+        return sum_of_products([(self, -1)])
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (int, SymPoly)):
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return SymPoly._packed(self.nvars, out)
+        return sum_of_products([(self, 1), (other, 1)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (int, SymPoly)):
             return NotImplemented
-        return self + (-other)
+        return sum_of_products([(self, 1), (other, -1)])
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (int, SymPoly)):
             return NotImplemented
-        return other + (-self)
+        return sum_of_products([(other, 1), (self, -1)])
 
     def __mul__(self, other):
         if not isinstance(other, (int, SymPoly)):

@@ -127,6 +127,34 @@ def test_classify_long_malformed_field(capsys):
     assert len(err.encode()) < 120
 
 
+def test_long_refusals_are_one_short_line(tmp_path, capsys):
+    # every message that quotes outside input bounds it: a field past 20
+    # characters by its first 20 and its length, a partition past 10 parts
+    # by its first 5 parts and its part count
+    ones, sevens = ",".join(["1"] * 3000), ",".join(["7"] * 3000)
+    zero_lead = "leading coefficient is zero: '0,7,7,7,7,7,7,7,7,7,'... (6001 characters)"
+    too_long = "(1, 1, 1, 1, 1, ..., 3000 parts) does not partition n = 5"
+    batch = tmp_path / "batch.txt"
+    batch.write_text(f"1,2,1\n0,{sevens}\n")
+    cases = [
+        (["dmu", "--n", "5", "--mu", ones + ",2", "--eval", "1,0,0,0,0,-1"],
+         "error: bad partition '1,1,1,1,1,1,1,1,1,1,'... (6001 characters): "
+         "not a partition (positive, non-increasing): (1, 1, 1, 1, 1, ..., 3001 parts)"),
+        (["dmu", "--n", "5", "--mu", "1,x," + ones, "--symbolic"],
+         "error: bad partition '1,x,1,1,1,1,1,1,1,1,'... (6003 characters): "
+         "not a comma-separated partition: '1,x,1,1,1,1,1,1,1,1,'... (6003 characters)"),
+        (["dmu", "--n", "5", "--mu", ones, "--symbolic"], f"error: {too_long}"),
+        (["yhz", "--n", "5", "--mu", ones], f"error: {too_long}"),
+        (["classify", "--coeffs", "0," + sevens], f"error: {zero_lead}"),
+        (["dmu", "--n", "5", "--mu", "5", "--eval", "0," + sevens], f"error: {zero_lead}"),
+        (["classify", "--file", str(batch)], f"error: line 2: {zero_lead}"),
+    ]
+    for argv, line in cases:
+        assert run(argv)[0] == EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert err == line + "\n" and len(err) < 300, argv
+
+
 def test_classify_requires_one_source(tmp_path):
     code, _ = run(["classify"])
     assert code == EXIT_USAGE
@@ -350,6 +378,21 @@ def test_table_n8_has_every_partition_row():
     assert '8,6,"[3,1,1,1,1,1]",1,2,15,33' in lines
 
 
+# sha256 of the stdout of `table --n 7 --measure` in the default text
+# format; the ljust padding, trailing spaces included, is part of it
+TABLE_N7_TEXT_SHA256 = "5424c01ddf29541a6690182db1c766c6e356876a18cbc58ee6bead652bcefb06"
+
+
+def test_table_text_is_pinned():
+    code, text = run(["table", "--n", "7", "--measure"])
+    assert code == EXIT_OK
+    assert text.splitlines()[0].split() == [
+        "n", "m", "mu", "num_new", "num_yhz", "d_new", "d_yhz",
+        "measured_d_new", "measured_num_yhz", "measured_d_yhz", "match",
+    ]
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_N7_TEXT_SHA256
+
+
 def test_table_n3_empty():
     code, text = run(["table", "--n", "3", "--format", "csv"])
     assert code == EXIT_OK
@@ -501,7 +544,7 @@ def test_ambiguity_maps_to_anomaly_exit(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("anomaly: gcd(F, F') leaves 3 distinct roots")
     # the certificate of the structure Yun finds is 0
     monkeypatch.setattr(disc, "_certify", _real_certify)
-    monkeypatch.setattr(disc, "pseudo_rem", lambda P, Q: disc.Poly())
+    monkeypatch.setattr(disc, "_prem", lambda r, q: [])
     code, text = run(["classify", "--coeffs", F42])
     assert code == EXIT_ANOMALY and text == ""
     assert capsys.readouterr().err.startswith("anomaly: the certificate of (4, 2) is 0")

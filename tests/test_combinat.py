@@ -9,6 +9,7 @@ from multdisc.combinat import (
     expand_partition,
     multiset_permutations,
     partition_count,
+    partition_name,
     partitions,
     permutation_count,
     repetition_constant,
@@ -16,6 +17,14 @@ from multdisc.combinat import (
 from multdisc.errors import MultdiscError
 
 from helpers import brute_partitions
+
+
+def test_partition_name_bounds_a_long_partition():
+    assert partition_name((1,) * 10) == str((1,) * 10)
+    assert partition_name((2, 1), lambda mu: "[2,1]") == "[2,1]"
+    assert partition_name((9, 8, 7, 6, 5, 4, 3, 2, 1, 1, 1)) == "(9, 8, 7, 6, 5, ..., 11 parts)"
+    with pytest.raises(MultdiscError, match=r"non-increasing\): \(1, 2, 2, 2, 2, \.\.\., 12 parts\)$"):
+        expand_partition((1,) + (2,) * 11)
 
 
 def test_partitions_examples():

@@ -576,7 +576,7 @@ def test_ambiguity_aborts_loudly(monkeypatch):
             classify_report(F42)
     monkeypatch.setattr(disc, "_certify", real)
     # a certificate that is 0: T_i vanishing at the roots of f_i
-    monkeypatch.setattr(disc, "pseudo_rem", lambda P, Q: Poly())
+    monkeypatch.setattr(disc, "_prem", lambda r, q: [])
     with pytest.raises(Anomaly, match=r"certificate of \(4, 2\) is 0"):
         classify_report(F42)
     monkeypatch.undo()

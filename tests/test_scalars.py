@@ -12,6 +12,7 @@ from multdisc.scalars import (
     format_scalar,
     normalize_scalar,
     parse_scalar,
+    quote_field,
 )
 
 scalars = st.one_of(
@@ -34,6 +35,11 @@ def test_parse_scalar():
     assert parse_scalar("7" * limit) == int("7" * limit)
     with pytest.raises(MultdiscError, match=f"of {limit + 1} digits is over the {limit}-digit limit"):
         parse_scalar("-1/" + "7" * (limit + 1))
+
+
+def test_quote_field_bounds_a_long_field():
+    assert quote_field("x" * 20) == repr("x" * 20)
+    assert quote_field("x" * 21) == f"{'x' * 20!r}... (21 characters)"
 
 
 def test_format_round_trip():

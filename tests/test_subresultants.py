@@ -10,7 +10,7 @@ from multdisc.errors import MultdiscError
 from multdisc.oracle import RootSpec, poly_from_roots
 from multdisc.scalars import clear_denominators
 from multdisc.subresultants import (
-    pseudo_rem,
+    _prem,
     resultant,
     subresultant_chain,
     subresultant_det,
@@ -20,12 +20,10 @@ from multdisc.unipoly import Poly, generic_poly, poly_div
 from helpers import psd_oracle, random_poly, random_sympoly, subresultant_oracle
 
 
-def test_pseudo_rem():
-    # prem(P, Q) = lc(Q)^(deg P - deg Q + 1) P mod Q
-    P = Poly([1, 0, -1])
-    Q = Poly([2, 0])
-    assert pseudo_rem(P, Q) == Poly([-4])
-    assert not pseudo_rem(Poly([1, 0, 0]), Poly([3, 0]))
+def test_prem():
+    # prem(P, Q) = lc(Q)^(deg P - deg Q + 1) P mod Q, on descending lists
+    assert _prem([1, 0, -1], [2, 0]) == [-4]
+    assert _prem([1, 0, 0], [3, 0]) == []
 
 
 _COEFF = st.one_of(st.integers(-30, 30), st.fractions(-5, 5, max_denominator=7))
@@ -36,23 +34,24 @@ def _prem_operands(draw):
     nonzero_lead = lambda c: c[0] != 0
     q = draw(st.lists(_COEFF, min_size=1, max_size=4).filter(nonzero_lead))
     p = draw(st.lists(_COEFF, min_size=len(q), max_size=len(q) + 4).filter(nonzero_lead))
-    return Poly(p), Poly(q)
+    return p, q
 
 
 @given(_prem_operands())
-@example((Poly([1, 0, 0, 0, -1]), Poly([2, 0, 3])))  # zero inner coefficients
-@example((Poly([3, 1, 2]), Poly([-2, 1, 5])))  # deg P = deg Q
-@example((Poly([1, Fraction(1, 2), 0, 4]), Poly([Fraction(-3, 2)])))  # constant Q
-def test_pseudo_rem_is_the_remainder(operands):
+@example(([1, 0, 0, 0, -1], [2, 0, 3]))  # zero inner coefficients
+@example(([3, 1, 2], [-2, 1, 5]))  # deg P = deg Q
+@example(([1, Fraction(1, 2), 0, 4], [Fraction(-3, 2)]))  # constant Q
+def test_prem_is_the_remainder(operands):
     # lc(Q)^(deg P - deg Q + 1) P - prem(P, Q) is a multiple of Q, and prem is
-    # reduced.  poly_div runs over Z, so by Gauss's lemma Q divides it over Q
-    # when the primitive part of Q with its denominators cleared divides it
-    # with its own denominators cleared
-    P, Q = operands
-    rem = pseudo_rem(P, Q)
-    assert rem.degree < Q.degree
-    multiple, _ = clear_denominators(list((P.scale(Q.lead ** (P.degree - Q.degree + 1)) - rem).coeffs))
-    divisor, _ = clear_denominators(list(Q.coeffs))
+    # reduced with no leading zero.  poly_div runs over Z, so by Gauss's lemma
+    # Q divides it over Q when the primitive part of Q with its denominators
+    # cleared divides it with its own denominators cleared
+    p, q = operands
+    rem = _prem(p, q)
+    assert len(rem) < len(q) and (not rem or rem[0])
+    P, Q = Poly(p), Poly(q)
+    multiple, _ = clear_denominators(list((P.scale(Q.lead ** (P.degree - Q.degree + 1)) - Poly(rem)).coeffs))
+    divisor, _ = clear_denominators(q)
     content = gcd(*divisor)
     poly_div(Poly(multiple), Poly([c // content for c in divisor]))  # raises on a remainder
 

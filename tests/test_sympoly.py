@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from multdisc.errors import NonExactDivision
+from multdisc.errors import MultdiscError, NonExactDivision
 from multdisc.sympoly import FIELD_MAX, WIDTH, SymPoly, _unpack, sum_of_products, sympoly_div
 
 from helpers import naive_str, random_sympoly
@@ -177,8 +177,21 @@ def test_str_matches_naive_formatter(case):
 
 
 def test_mixed_nvars_rejected():
-    with pytest.raises(ValueError):
-        a0 + SymPoly.variable(3, 0)
+    b0 = SymPoly.variable(3, 0)
+    for mixed in (lambda: a0 + b0, lambda: a0 - b0, lambda: b0 - a0, lambda: a0 == b0):
+        with pytest.raises(MultdiscError, match="mixing SymPolys with different variable counts"):
+            mixed()
+
+
+def test_add_and_sub_take_ints_and_sympolys_only():
+    # +, - and unary - are sums of products with factors +-1; any other
+    # operand type gets NotImplemented, so Python raises TypeError
+    for bad in (lambda: a0 + Fraction(1, 2), lambda: Fraction(1, 2) + a0, lambda: a0 - 1.5, lambda: 1.5 - a0):
+        with pytest.raises(TypeError):
+            bad()
+    assert 5 - a0 == sym({(0, 0, 0, 0): 5, (1, 0, 0, 0): -1})
+    assert -a0 == sym({(1, 0, 0, 0): -1})
+    assert -SymPoly(NV) == 0 and (a0 - a0).nvars == NV
 
 
 @given(st.integers(0, 2**32 - 1))
