@@ -33,7 +33,7 @@ from .oracle import (
 from .scalars import clear_denominators, exact_div, format_scalar, parse_scalar
 from .subresultants import resultant, subresultant_chain, subresultant_det
 from .sympoly import SymPoly
-from .unipoly import NEG_INF, Poly, generic_poly, parse_poly
+from .unipoly import Poly, generic_poly, parse_poly
 from .yhz import (
     YhzCondition,
     measured_size,

@@ -10,7 +10,7 @@ from collections import Counter
 from math import factorial, prod
 
 from .errors import MultdiscError
-from .scalars import quote_field
+from .scalars import format_scalar, quote_field
 
 
 def check_partition(mu):
@@ -20,10 +20,18 @@ def check_partition(mu):
 
 
 def partition_name(mu, short=str):
-    """mu named in an error message: short(mu), or past 10 parts its first 5 parts and its part count."""
+    """mu named in an error message: short(mu), or a bounded form of a huge mu.
+
+    A part of more than 20 digits is named by its digit count, and past 10
+    parts only the first 5 parts and the part count are named.
+    """
+    huge = [isinstance(x, int) and abs(x) >= 10**20 for x in mu]
+    if len(mu) <= 10 and not any(huge):
+        return short(mu)
+    names = [f"<{len(format_scalar(abs(x)))} digits>" if h else str(x) for x, h in zip(mu[:10], huge)]
     if len(mu) > 10:
-        return f"({', '.join(map(str, mu[:5]))}, ..., {len(mu)} parts)"
-    return short(mu)
+        return f"({', '.join(names[:5])}, ..., {len(mu)} parts)"
+    return f"({', '.join(names)})"
 
 
 def parse_partition(text):
@@ -107,9 +115,6 @@ def multiset_permutations(p):
     """Stream every distinct rearrangement exactly once, ascending lex order."""
     cur = sorted(p)
     n = len(cur)
-    if n == 0:
-        yield ()
-        return
     while True:
         yield tuple(cur)
         # classic next-permutation step

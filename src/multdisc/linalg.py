@@ -252,7 +252,7 @@ def dp(polys):
     if size == 0:
         raise MultdiscError("dp of an empty stack")
     for p in polys:
-        if p.degree >= size:
+        if p and p.degree >= size:
             raise MultdiscError(f"degree {p.degree} row in a {size}-row stack")
     rows = [[p.coeff(size - 1 - j) for j in range(size)] for p in polys]
     return det(rows)

@@ -133,7 +133,7 @@ def check_dp_ratio(F, roots, G):
     if len(G) != n:
         raise MultdiscError(f"need exactly {n} stacked polynomials")
     for g in G:
-        if g.degree > 2 * n - 2:
+        if g and g.degree > 2 * n - 2:
             raise MultdiscError("stacked polynomial degree exceeds 2n - 2")
     stack = [F.shift_mul(s) for s in range(n - 2, -1, -1)] + G
     lhs = dp(stack) * det([[a ** (n - 1 - i) for a in roots] for i in range(n)])

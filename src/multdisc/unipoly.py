@@ -3,12 +3,11 @@
 Coefficients may be int, Fraction, or SymPoly (the symbolic-coefficient
 ring), and every operation stays exact.  Coefficients are stored in a
 tuple, descending by degree, with no leading zero; the zero polynomial is
-the empty tuple and its degree is the NEG_INF sentinel, which orders below
-every integer but refuses arithmetic, so a forgotten zero check fails
-loudly instead of producing nonsense degrees.  The exact division
-poly_div runs over Z only: its callers clear denominators first (see
-scalars).  The subresultant chain works on plain coefficient lists
-(subresultants) and wraps in Poly only the chain it returns.
+the empty tuple.  degree and lead both refuse it, as SymPoly.total_degree
+does, so a forgotten zero check fails loudly.  The exact division poly_div
+runs over Z only: its callers clear denominators first (see scalars).  The
+subresultant chain works on plain coefficient lists (subresultants) and
+wraps in Poly only the chain it returns.
 """
 
 from math import comb
@@ -16,30 +15,6 @@ from math import comb
 from .errors import MultdiscError, NonExactDivision
 from .scalars import format_scalar, parse_scalar
 from .sympoly import SymPoly
-
-
-class _NegInfDegree:
-    """Degree of the zero polynomial; comparable with ints, nothing else."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return other is not self
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
-
-    def __repr__(self):
-        return "NEG_INF"
-
-
-NEG_INF = _NegInfDegree()
 
 
 class Poly:
@@ -56,7 +31,9 @@ class Poly:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        if not self.coeffs:
+            raise MultdiscError("the zero polynomial has no degree")
+        return len(self.coeffs) - 1
 
     @property
     def lead(self):
@@ -105,8 +82,6 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        if not self.coeffs or not other.coeffs:
-            return Poly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -120,8 +95,6 @@ class Poly:
         return self.scale(other)
 
     def scale(self, s):
-        if not s:
-            return Poly()
         return Poly([c * s for c in self.coeffs])
 
     def __call__(self, x):
@@ -149,16 +122,12 @@ class Poly:
     def derivative(self):
         """Plain first derivative."""
         deg = len(self.coeffs) - 1
-        if deg < 1:
-            return Poly()
         return Poly([(deg - i) * c for i, c in enumerate(self.coeffs[:-1])])
 
     def shift_mul(self, k):
         """Multiply by x^k."""
         if k < 0:
             raise MultdiscError("shift must be nonnegative")
-        if not self.coeffs:
-            return self
         return Poly(self.coeffs + (0,) * k)
 
     def __str__(self):

@@ -100,7 +100,7 @@ def yhz_degree_lower_bound(n, mu2):
 
 def _steps(G, p, ks):
     """S_k(G, G') at formal degrees (p, p - 1) for each k in ks, 0 <= k < p."""
-    if G.degree < p:
+    if not G or G.degree < p:
         return [G.derivative() if k == p - 1 else Poly() for k in ks]
     if G.is_symbolic():
         return [subresultant_det(G, G.derivative(), k) for k in ks]

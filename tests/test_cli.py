@@ -130,8 +130,9 @@ def test_classify_long_malformed_field(capsys):
 def test_long_refusals_are_one_short_line(tmp_path, capsys):
     # every message that quotes outside input bounds it: a field past 20
     # characters by its first 20 and its length, a partition past 10 parts
-    # by its first 5 parts and its part count
-    ones, sevens = ",".join(["1"] * 3000), ",".join(["7"] * 3000)
+    # by its first 5 parts and its part count, a part past 20 digits by its
+    # digit count
+    ones, sevens, nines = ",".join(["1"] * 3000), ",".join(["7"] * 3000), "9" * 4000
     zero_lead = "leading coefficient is zero: '0,7,7,7,7,7,7,7,7,7,'... (6001 characters)"
     too_long = "(1, 1, 1, 1, 1, ..., 3000 parts) does not partition n = 5"
     batch = tmp_path / "batch.txt"
@@ -148,6 +149,14 @@ def test_long_refusals_are_one_short_line(tmp_path, capsys):
         (["classify", "--coeffs", "0," + sevens], f"error: {zero_lead}"),
         (["dmu", "--n", "5", "--mu", "5", "--eval", "0," + sevens], f"error: {zero_lead}"),
         (["classify", "--file", str(batch)], f"error: line 2: {zero_lead}"),
+        (["dmu", "--n", "5", "--mu", f"{nines},{nines}", "--symbolic"],
+         "error: (<4000 digits>, <4000 digits>) does not partition n = 5"),
+        (["yhz", "--n", "5", "--mu", nines], "error: (<4000 digits>) does not partition n = 5"),
+        (["dmu", "--n", "5", "--mu", f"{nines},1", "--eval", "1,2,3,4,5,6"],
+         "error: (<4000 digits>, 1) does not partition n = 5"),
+        (["dmu", "--n", "5", "--mu", f"1,{nines}", "--symbolic"],
+         "error: bad partition '1,999999999999999999'... (4002 characters): "
+         "not a partition (positive, non-increasing): (1, <4000 digits>)"),
     ]
     for argv, line in cases:
         assert run(argv)[0] == EXIT_USAGE, argv

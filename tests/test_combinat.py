@@ -23,6 +23,10 @@ def test_partition_name_bounds_a_long_partition():
     assert partition_name((1,) * 10) == str((1,) * 10)
     assert partition_name((2, 1), lambda mu: "[2,1]") == "[2,1]"
     assert partition_name((9, 8, 7, 6, 5, 4, 3, 2, 1, 1, 1)) == "(9, 8, 7, 6, 5, ..., 11 parts)"
+    # a part of more than 20 digits is named by its digit count, in either form
+    assert partition_name((10**19, 1), lambda mu: "[..]") == "[..]"
+    assert partition_name((10**20, 1), lambda mu: "[..]") == "(<21 digits>, 1)"
+    assert partition_name((10**5000,) + (1,) * 11) == "(<5001 digits>, 1, 1, 1, 1, ..., 12 parts)"
     with pytest.raises(MultdiscError, match=r"non-increasing\): \(1, 2, 2, 2, 2, \.\.\., 12 parts\)$"):
         expand_partition((1,) + (2,) * 11)
 
@@ -86,6 +90,7 @@ def test_multiset_permutations_examples():
     assert set(perms) == {(3, 3, 3, 1), (3, 3, 1, 3), (3, 1, 3, 3), (1, 3, 3, 3)}
     assert perms == sorted(perms)  # ascending lex
     assert list(multiset_permutations((2, 2))) == [(2, 2)]
+    assert list(multiset_permutations(())) == [()]
     assert len(list(multiset_permutations((1, 2, 3)))) == 6
 
 

@@ -459,6 +459,24 @@ def test_classify_high_degree_closed_form():
         assert [nu for nu, _ in report.certificates] == partitions(n, k)
 
 
+def test_classify_random_shapes_match_the_root_product():
+    # random compositions of n = 10..40 into m parts, 2 <= m <= n - 2 so that
+    # there are at least two candidates, on distinct integer roots: the one
+    # nonzero certificate is helpers.root_product_dmu's
+    rng = random.Random(31)
+    for _ in range(30):
+        n = rng.randint(10, 40)
+        m = rng.randint(2, n - 2)
+        cuts = sorted(rng.sample(range(1, n), m - 1))
+        mults = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+        roots, lead = tuple(rng.sample(range(-99, 100), m)), rng.choice((-3, -1, 1, 2))
+        report = classify_report(poly_from_roots(RootSpec(roots=roots, mults=mults, lead=lead)))
+        mu = tuple(sorted(mults, reverse=True))
+        assert report.multiplicity == mu
+        assert [nu for nu, _ in report.certificates] == partitions(n, m)
+        assert [(nu, v) for nu, v in report.certificates if v] == [(mu, root_product_dmu(lead, roots, mults))]
+
+
 def test_root_product_oracle_matches_dmu():
     # the oracle of test_classify_high_degree_closed_form against the Newton
     # kernel: one integer-root instance for each of the 95 partitions of n = 2..9

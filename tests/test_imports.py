@@ -336,14 +336,10 @@ def _import_time_work(tree):
     return work
 
 
-# the zero polynomial's degree sentinel: one instance of a slotted class
-IMPORT_TIME_WORK = {"unipoly.py": ["NEG_INF = _NegInfDegree()"]}
-
-
 def test_no_import_time_work():
     # every fresh import pays for module-level work: a table or a prime list belongs in a function
     found = {p.name: work for p in sorted(SOURCE.glob("*.py")) if (work := _import_time_work(ast.parse(p.read_text())))}
-    assert found == IMPORT_TIME_WORK
+    assert found == {}
 
 
 def test_the_scan_sees_import_time_work():

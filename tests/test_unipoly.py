@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multdisc.errors import NonExactDivision
+from multdisc.errors import MultdiscError, NonExactDivision
 from multdisc.sympoly import SymPoly
-from multdisc.unipoly import NEG_INF, Poly, generic_poly, parse_poly, poly_div
+from multdisc.unipoly import Poly, generic_poly, parse_poly, poly_div
 
 from helpers import random_poly
 
@@ -16,17 +16,9 @@ from helpers import random_poly
 def test_normalisation_and_degree():
     assert Poly([0, 0, 1, 2]).coeffs == (1, 2)
     assert Poly([1, 2]).degree == 1
-    assert Poly().degree is NEG_INF
     assert Poly([5]).degree == 0
-
-
-def test_neg_inf_sentinel():
-    assert NEG_INF < 0
-    assert NEG_INF < -100
-    assert not NEG_INF > 3
-    assert NEG_INF <= NEG_INF and NEG_INF >= NEG_INF
-    with pytest.raises(TypeError):
-        NEG_INF + 1  # arithmetic on the sentinel must fail loudly
+    with pytest.raises(MultdiscError, match="^the zero polynomial has no degree$"):
+        Poly().degree
 
 
 def test_taylor_derivative_quartic_rows():
@@ -55,7 +47,8 @@ def test_taylor_matches_iterated_derivative():
 
 def test_shift_mul():
     assert Poly([1, 1]).shift_mul(2).coeffs == (1, 1, 0, 0)
-    assert not Poly().shift_mul(3)
+    assert Poly().shift_mul(3) == Poly()
+    assert Poly().shift_mul(0) == Poly()
     p = generic_poly(1)
     assert p.shift_mul(1).coeffs == p.coeffs + (0,)
     assert Poly([1]).shift_mul(0).coeffs == (1,)
@@ -85,6 +78,12 @@ def test_arithmetic():
     assert (p * q).coeffs == (1, 0, -1, -6)
     assert p.scale(0).coeffs == ()
     assert (2 * q).coeffs == (2, -4)
+    # a zero operand on either side, a zero scale in either coefficient ring
+    assert p * Poly() == Poly() * p == Poly() * Poly() == Poly()
+    assert 0 * p == generic_poly(2).scale(0) == p.scale(SymPoly.const(3, 0)) == Poly()
+    # derivative of a constant and of zero
+    assert Poly([5]).derivative() == Poly().derivative() == Poly()
+    assert p.derivative() == Poly([2, 2])
 
 
 def test_poly_exact_division():
