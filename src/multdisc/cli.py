@@ -325,26 +325,31 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="decide the multiplicity structure of a polynomial")
+    p.set_defaults(run=cmd_classify)
     p.add_argument("--coeffs", help='descending coefficients, e.g. "1,-1,-3,5,-2"')
     p.add_argument("--file", help="batch file, one polynomial per line, # comments; "
                    "stops at the first bad line, after printing the lines before it")
 
     p = sub.add_parser("dmu", help="the one-polynomial discriminant, symbolic or evaluated")
+    p.set_defaults(run=cmd_dmu)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu", required=True, help='partition, e.g. "3,1"')
     p.add_argument("--symbolic", action="store_true")
     p.add_argument("--eval", help="coefficients to evaluate at")
 
     p = sub.add_parser("yhz", help="the repeated-subresultant condition and its size")
+    p.set_defaults(run=cmd_yhz)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--eval", help="coefficients to evaluate at")
 
     p = sub.add_parser("table", help="size comparison of the two conditions for degree n")
+    p.set_defaults(run=cmd_table)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--measure", action="store_true", help="add columns measured by evaluation")
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--suite", required=True, help=f"one of: {', '.join(sorted(SUITES))}")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
@@ -360,15 +365,6 @@ def build_parser():
     return parser
 
 
-COMMANDS = {
-    "classify": cmd_classify,
-    "dmu": cmd_dmu,
-    "yhz": cmd_yhz,
-    "table": cmd_table,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None, out=None):
     out = out or sys.stdout
     parser = build_parser()
@@ -379,7 +375,7 @@ def main(argv=None, out=None):
     try:
         if getattr(args, "truncate_digits", 0) < 0:
             raise MultdiscError(f"--truncate-digits must be at least 0, got {args.truncate_digits}")
-        return COMMANDS[args.command](args, out)
+        return args.run(args, out)
     except Anomaly as exc:
         print(f"anomaly: {exc}", file=sys.stderr)
         return EXIT_ANOMALY

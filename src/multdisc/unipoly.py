@@ -81,7 +81,7 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            return self.scale(other)
+            return NotImplemented
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -90,9 +90,6 @@ class Poly:
                 if b:
                     out[i + j] = out[i + j] + a * b
         return Poly(out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, s):
         return Poly([c * s for c in self.coeffs])

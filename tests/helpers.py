@@ -143,14 +143,6 @@ def random_poly(rng, max_deg=6, bound=9):
     return Poly(coeffs)
 
 
-def translate(F, t):
-    """F(x + t) by Horner composition."""
-    acc = Poly([F.coeffs[0]])
-    for c in F.coeffs[1:]:
-        acc = acc * Poly([1, t]) + Poly([c])
-    return acc
-
-
 def naive_str(nvars, terms):
     """Reference text of a SymPoly given as {exponent tuple: coefficient}:
     terms in descending graded-lex order, a_0 the most significant."""

@@ -2,11 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import multdisc.discriminant as disc
 import multdisc.cli as cli
@@ -458,6 +461,11 @@ def test_table_measured_degenerate_point(monkeypatch):
     for row in json.loads(text):
         assert row["match"] == "degenerate"
         assert row["measured_d_new"] is row["measured_num_yhz"] is row["measured_d_yhz"] is None
+    # csv leaves the three measured cells empty
+    code, text = run(["table", "--n", "4", "--measure", "--format", "csv"])
+    assert code == EXIT_OK
+    rows = text.splitlines()[1:]
+    assert rows and all(row.endswith(",,,,degenerate") for row in rows)
 
 
 def test_table_measured_ratio_not_power_of_two(monkeypatch, capsys):
@@ -727,3 +735,19 @@ def test_error_contract(tmp_path, monkeypatch, capsys):
                 m.setattr(*patch)
             assert run(argv) == (code, ""), argv
         assert capsys.readouterr().err.splitlines()[0] == first, argv
+
+
+def test_module_entry_point_in_a_fresh_interpreter():
+    # python -m multdisc.cli: the __main__ guard, and the package imported cold
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def cold(*argv):
+        return subprocess.run([sys.executable, "-m", "multdisc.cli", *argv],
+                              env=env, capture_output=True, timeout=60)
+
+    proc = cold("classify", "--coeffs", "1,-2,1")
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    assert proc.stdout == run(["classify", "--coeffs", "1,-2,1"])[1].encode()
+    proc = cold("classify", "--coeffs", "0,1")
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, b"")
+    assert proc.stderr == b"error: leading coefficient is zero: '0,1'\n"

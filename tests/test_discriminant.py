@@ -22,12 +22,12 @@ from multdisc.linalg import wedge_dp
 from multdisc.oracle import RootSpec, dmu_by_stacks, poly_from_roots, random_factored, random_instance
 from multdisc.scalars import clear_denominators, normalize_scalar
 from multdisc.subresultants import subresultant_det
-from multdisc.suites import run_suite
+from multdisc.suites import _translate, run_suite
 from multdisc.sympoly import SymPoly
 from multdisc.unipoly import Poly, generic_poly, parse_poly
 from multdisc.yhz import YHZ_WORK_CAP, yhz_degree
 
-from helpers import psd_oracle, root_product_dmu, translate
+from helpers import psd_oracle, root_product_dmu
 
 C1_PRIME = {
     (1, 6, 0, 0, 0): -1,
@@ -267,7 +267,7 @@ def test_translation_preserves_zero_pattern():
         spec = random_instance(rng.randrange(2**32), n, m)
         F = poly_from_roots(spec)
         t = rng.randint(-3, 3)
-        Ft = translate(F, t)
+        Ft = _translate(F, t)
         for nu in partitions(n, m):
             assert bool(dmu(F, nu).value) == bool(dmu(Ft, nu).value)
 

@@ -2,10 +2,18 @@ import ast
 import builtins
 from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 import multdisc
 
 SOURCE = Path(multdisc.__file__).parent
+
+
+def test_top_level_binds_only_the_documented_api():
+    # every other name is imported from its module, so the package keeps one home per name
+    public = {name for name, value in vars(multdisc).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == {"classify", "dmu", "generic_poly", "parse_poly"}
 
 
 def _unused_imports(tree):

@@ -77,10 +77,15 @@ def test_arithmetic():
     assert (p - p).coeffs == ()
     assert (p * q).coeffs == (1, 0, -1, -6)
     assert p.scale(0).coeffs == ()
-    assert (2 * q).coeffs == (2, -4)
+    assert q.scale(2).coeffs == (2, -4)
     # a zero operand on either side, a zero scale in either coefficient ring
     assert p * Poly() == Poly() * p == Poly() * Poly() == Poly()
-    assert 0 * p == generic_poly(2).scale(0) == p.scale(SymPoly.const(3, 0)) == Poly()
+    assert p.scale(0) == generic_poly(2).scale(0) == p.scale(SymPoly.const(3, 0)) == Poly()
+    # scale is the one scalar product: * takes two polynomials
+    with pytest.raises(TypeError):
+        Poly([1, 2]) * 3
+    with pytest.raises(TypeError):
+        3 * Poly([1, 2])
     # derivative of a constant and of zero
     assert Poly([5]).derivative() == Poly().derivative() == Poly()
     assert p.derivative() == Poly([2, 2])
