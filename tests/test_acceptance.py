@@ -58,6 +58,10 @@ TABLE1_N8 = {
 # --format json, for every partition mu of n = 1..6 in partitions(n, m) order
 SYMBOLIC_STDOUT_SHA256 = "cdf546fc2ab2f939ad5cc98a9fd56b13ee57376af143c76e31508f88811cb6ed"
 
+# sha256 over "<exit code>\n<stdout>" of `dmu --symbolic --format json` for
+# every partition mu of n = 7, SYMBOLIC_CAP, in partitions(7, m) order
+DMU_SYMBOLIC_N7_SHA256 = "0e6a0a46209692bf99018de323bcf6fb98e2b9fd09ddb0b304035c9d7bccc1c4"
+
 # sha256 of the stdout of `table --n 7 --measure --format json`
 TABLE_N7_JSON_SHA256 = "8ede7b506ba2fd77a935c9f5684b999ccabcbabbceb3be19129fcf2765da4321"
 
@@ -259,3 +263,17 @@ def test_symbolic_stdout_is_pinned():
                     digest.update(f"{code}\n{out.getvalue()}".encode())
     assert digest.hexdigest() == SYMBOLIC_STDOUT_SHA256
     _report("symbolic stdout pin n<=6", time.perf_counter() - start, 30.0)
+
+
+def test_symbolic_dmu_n7_is_pinned():
+    start = time.perf_counter()
+    digest = hashlib.sha256()
+    for m in range(1, 8):
+        for mu in partitions(7, m):
+            argv = ["dmu", "--n", "7", "--mu", ",".join(map(str, mu)), "--format", "json", "--symbolic"]
+            out = io.StringIO()
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv, out=out)
+            digest.update(f"{code}\n{out.getvalue()}".encode())
+    assert digest.hexdigest() == DMU_SYMBOLIC_N7_SHA256
+    _report("symbolic dmu pin n=7", time.perf_counter() - start, 30.0)
