@@ -38,8 +38,8 @@ division of integers.  Every other candidate with m parts has
 D_nu = 0 by the theorem, and is reported as 0 without evaluating it.
 If m and Yun's part count disagree, or the certificate is 0 or not an
 integer, the theorem or the code is wrong, and classify raises Anomaly.
-`verify --suite certificates` runs the exhaustive check: psd_sequence's
-m and dmu on every candidate, against classify's report.
+`verify --suite certificates` checks classify's report against the
+structure each input was built with and against dmu on every candidate.
 
 D_mu is not computed as one determinant per rearrangement.  Write lc for
 the leading coefficient of F, T_v = F^(v)/v! for a distinct part v,
@@ -53,11 +53,12 @@ mod G has the eigenvalues U_v(beta), so
 
     E(c) = [s^c] det(sum_v s_v M_v) = lc^d(c) Dbar_mu,
 
-and D_mu = E(c) / lc^(d(c) - (n - mu_m)), one exact division: exact_div
-over Z, or sympoly_div by the monomial a_0^k for the generic F.
-_scaled_columns builds the M_v with ring operations only, for int and
-SymPoly coefficients alike.  Two kernels read E(c) off them, chosen by the
-coefficient ring:
+and D_mu = E(c) / lc^(d(c) - (n - mu_m)), one exact_div over Z.  The
+generic F divides nothing: D_mu is homogeneous of degree 2n - mu_m, so
+its kernel runs at lc = 1, E(c) = D_mu(1, a_1, ..., a_n), and
+SymPoly.homogenized puts a_0 back by degree (exact when each other
+coefficient is a_i or 0).  Two kernels read E(c) off the M_v, which
+_scaled_columns builds with ring operations only:
 
 * _newton_traces, over Z only (numeric input, denominators cleared
   first).  Newton's identities on G give the power sums of beta, hence the
@@ -67,16 +68,19 @@ coefficient ring:
   matrix by a vector and prod_v (c_v + 1)(c_v + 2)/2 convolution terms,
   both known from mu before any arithmetic; above NEWTON_WORK_CAP for
   prod_v (c_v + 1) n^3, dmu raises MultdiscError at once.
-* linalg.wedge_dp, for SymPoly F (the generic F, where lc is the variable
-  a_0), with the M_v as its sources.  The determinant is multilinear in
-  its columns, so E(c) sums det over every way to take column j from some
-  M_v, c_v columns from each.  A DP over the counts still to place
-  carries the wedge product of the columns taken so far, with up to
-  C(n, n/2) row bitmasks per state, and drops the bitmasks that the
-  remaining columns cannot complete.  It divides nothing.  Over SymPoly
-  it was measured faster than the Newton recurrence, which multiplies
-  dense SymPolys: summed over every partition, 0.05 vs 0.29 s at n = 6
-  and 1.0 vs 7.0 s at n = 7 (best of three, 2 CPUs, Python 3.11.7).
+* linalg.wedge_dp, for the generic F at lc = 1, with the M_v as its
+  sources.  The determinant is multilinear in its columns, so E(c) sums
+  det over every way to take column j from some M_v, c_v from each.  A
+  DP over the counts still to place carries the wedge product of the
+  columns taken so far, with up to C(n, n/2) row bitmasks per state, and
+  drops the bitmasks that the remaining columns cannot complete.  It is
+  division-free, and beats the Newton recurrence's dense SymPoly products.
+
+a_0 divides D_mu: in every stack the column of degree 2n - mu_m - 1 is
+nonzero only in the top F row, x^(n-mu_m-1) F (entry a_0), and in a row
+x^(n-1-i) T_(sigma_i) with i + sigma_i = mu_m, so i = 0 and sigma_0 = mu_m
+as no sigma_i is below mu_m (entry C(n, mu_m) a_0).  It divides exactly
+once when m >= 2 (measured, n <= 7), and D_(n) = a_0^n (a diagonal stack).
 """
 
 from dataclasses import dataclass
@@ -89,8 +93,8 @@ from .errors import Anomaly, MultdiscError
 from .linalg import wedge_dp
 from .scalars import clear_denominators, exact_div, format_scalar
 from .subresultants import _prem, subresultant_chain
-from .sympoly import SymPoly, sympoly_div
-from .unipoly import Poly, poly_div
+from .sympoly import SymPoly
+from .unipoly import Poly, generic_poly, poly_div
 
 # the largest degree of a symbolic dmu or yhz_condition: at n = 7 the
 # slowest command takes about a second, at n = 8 one yhz took 657 s
@@ -242,9 +246,9 @@ def dmu(F, mu):
     Numeric coefficients are normalised to integers by clearing
     denominators first; D_mu is homogeneous of degree 2n - mu_m, so the
     zero/nonzero verdict is unaffected and the reported value is the one
-    for the scaled integer polynomial.  Symbolic F is capped at degree
-    SYMBOLIC_CAP, numeric F at NEWTON_WORK_CAP matrix-vector work
-    (MultdiscError).
+    for the scaled integer polynomial.  Symbolic F must be generic_poly(n),
+    any of a_1..a_n set to 0, of degree at most SYMBOLIC_CAP, and numeric F
+    within NEWTON_WORK_CAP matrix-vector work (MultdiscError).
     """
     mu = check_partition(mu)
     if not F:
@@ -254,17 +258,18 @@ def dmu(F, mu):
         raise MultdiscError(f"{partition_name(mu)} does not partition deg F = {n}")
     values = sorted(set(mu))
     c = [v * mu.count(v) for v in values]
-    # d(c) = n^2 - sum mu_i^2 >= n - mu_m: for m >= 2 it is
-    # sum_{i != j} mu_i mu_j >= 2 mu_m (n - mu_m); for m = 1 both are 0.
-    d_c = n * n - sum(p * p for p in mu)
     if F.is_symbolic():
         check_symbolic_degree(n, "dmu")
-        _, cols = _scaled_columns(F, values)
-        wedge = wedge_dp(cols, c)
-        total = wedge.get((1 << n) - 1, 0)
+        # terms, not ==, which refuses a SymPoly of another variable count
+        pairs = enumerate(zip(F.coeffs, generic_poly(n).coeffs))
+        if not all((i and a == 0) or isinstance(a, SymPoly) and a.terms == g.terms for i, (a, g) in pairs):
+            raise MultdiscError("symbolic dmu takes generic_poly(n), with any of a_1..a_n set to 0")
+        # at lc = 1, E(c) = D_mu(1, a_1, ..., a_n); a_0 comes back by degree
+        _, cols = _scaled_columns(Poly([1, *F.coeffs[1:]]), values)
+        total = wedge_dp(cols, c).get((1 << n) - 1, 0)
         if isinstance(total, int):  # no SymPoly entry was taken
             total = SymPoly.const(n + 1, total)
-        value = sympoly_div(total, F.lead ** (d_c - (n - mu[-1])))
+        value = total.homogenized(2 * n - mu[-1])
     else:
         if (work := prod(ck + 1 for ck in c) * n**3) > NEWTON_WORK_CAP:
             raise over_cap("dmu", mu, "prod_v (c_v + 1) n^3", work, NEWTON_WORK_CAP)
@@ -272,6 +277,9 @@ def dmu(F, mu):
         F = Poly(ints)
         g, cols = _scaled_columns(F, values)
         total = _newton_traces(g, cols, c)
+        # d(c) = n^2 - sum mu_i^2 >= n - mu_m: for m >= 2 it is
+        # sum_{i != j} mu_i mu_j >= 2 mu_m (n - mu_m); for m = 1 both are 0.
+        d_c = n * n - sum(p * p for p in mu)
         value = exact_div(total, F.lead ** (d_c - (n - mu[-1])))
     # after both caps: n! alone takes seconds at n = 300,000
     return DmuResult(value, permutation_count(expand_partition(mu)))
@@ -283,7 +291,8 @@ def psd_sequence(F):
     psd_k vanishes for k below the gcd degree of F and F' and is nonzero
     there, so the number of distinct roots is n minus the first nonzero
     index.  Rational coefficients are cleared first; zero-testing is
-    normalisation-independent.  It is the route that checks classify's m.
+    normalisation-independent.  It runs _gcd's subresultant_chain(F, F') on
+    the same cleared F, so it is no independent check of classify's m.
     """
     if not F:
         raise MultdiscError("psd sequence of the zero polynomial")

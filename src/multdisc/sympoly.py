@@ -21,9 +21,8 @@ field ever holds more than FIELD_MAX.  The constructor rejects larger
 exponent tuples, and multiplication checks that the two operands' total
 degrees sum to at most FIELD_MAX before it multiplies monomials by adding
 their keys; the sum of two keys then never carries from one field into
-its neighbour.  Division is by a monomial only (sympoly_div), and it
-subtracts keys only after checking every field, because a borrow across
-fields would give a valid-looking wrong key.
+its neighbour.  homogenized adds keys after the same kind of check, and
+no code subtracts one, so no borrow can make a valid-looking wrong key.
 
 Sums of products.  sum_of_products(pairs) returns the sum of x * y over
 (x, y) pairs of ints and SymPolys.  It adds every monomial product
@@ -47,8 +46,7 @@ strings.
 
 from math import prod
 
-from .errors import MultdiscError, NonExactDivision
-from .scalars import exact_div
+from .errors import MultdiscError
 
 WIDTH = 16
 FIELD_MAX = (1 << WIDTH) - 1
@@ -170,6 +168,18 @@ class SymPoly:
         shift = WIDTH * self.nvars
         return len({e >> shift for e in self.terms}) <= 1
 
+    def homogenized(self, degree):
+        """Each term times a_0^(degree - its degree), for an a_0-free SymPoly of degree <= degree <= FIELD_MAX."""
+        shift = WIDTH * self.nvars
+        if degree > FIELD_MAX:
+            raise MultdiscError(f"total degree {degree} exceeds {FIELD_MAX}")
+        if any((e >> (shift - WIDTH)) & FIELD_MAX for e in self.terms):
+            raise MultdiscError("homogenized takes a SymPoly free of a_0")
+        if self and (d := self.total_degree()) > degree:
+            raise MultdiscError(f"a term of total degree {d} is above {degree}")
+        unit = (1 << shift) | (1 << (shift - WIDTH))  # 1 in the total-degree and a_0 fields
+        return SymPoly._packed(self.nvars, {e + (degree - (e >> shift)) * unit: c for e, c in self.terms.items()})
+
     def evaluate(self, values):
         """Substitute numeric values (int/Fraction) for a_0..a_n."""
         if len(values) != self.nvars:
@@ -275,27 +285,3 @@ def _common_nvars(nvars, *polys):
         elif p.nvars != nvars:
             raise MultdiscError("mixing SymPolys with different variable counts")
     return nvars, WIDTH * nvars
-
-
-def sympoly_div(a, b):
-    """a / b for a monomial b (an int is a constant one), exact or NonExactDivision.
-
-    Each term divides on its own.  Every exponent field of the term must
-    hold at least b's, checked before the keys are subtracted, and the
-    coefficient must be a multiple of b's.  A b of several terms raises
-    MultdiscError: the one symbolic division, dmu's, is by a power of a_0.
-    """
-    if isinstance(b, int):
-        b = SymPoly.const(a.nvars, b)
-    if not b:
-        raise ZeroDivisionError("exact division by zero")
-    if len(b.terms) != 1:
-        raise MultdiscError("sympoly_div divides by a monomial only")
-    ((be, bc),) = b.terms.items()
-    fields = [(s, k) for s in range(0, WIDTH * a.nvars, WIDTH) if (k := (be >> s) & FIELD_MAX)]
-    out = {}
-    for e, c in a.terms.items():
-        if any((e >> s) & FIELD_MAX < k for s, k in fields):
-            raise NonExactDivision("monomial does not divide a term")
-        out[e - be] = exact_div(c, bc)
-    return SymPoly._packed(a.nvars, out)

@@ -15,6 +15,10 @@ The closed-form size of the condition: the number of polynomials is
 1 + sum_i C(mu_i - 1, 2), and the maximum total degree in the coefficients
 follows the three-case product formula implemented in yhz_degree, bounded
 below by 2n + 3^(mu_2) - 4 mu_2.
+
+Measured, not proven: divided by its power of a_0 (nonzero, as deg F = n),
+the largest yhz polynomial has degree d_yhz (2m - 2)/(2m - 1) on all 26 rows
+2 <= m <= n - 2 at n = 4..7, and at n = 4, mu = (3, 1) it ties D_mu / a_0 at 6.
 """
 
 from dataclasses import dataclass

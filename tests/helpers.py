@@ -75,19 +75,12 @@ def brute_partitions(n, m):
 
 
 def principal_oracle(P, Q, k, p, q):
-    """Principal coefficient of S_k(P, Q) at formal degrees p > q, from an
-    explicitly assembled square coefficient matrix and the
-    cofactor-expansion determinant; Q's x^q coefficient to the power p - q
-    for k == q."""
+    """Principal coefficient of S_k(P, Q) at formal degrees p > q: Q's x^q
+    coefficient to the power p - q for k == q, and below q the x^k entry of
+    subresultant_oracle, whose degree-k column is the next column of M_k."""
     if k == q:
         return Q.coeff(q) ** (p - q)
-    top = p + q - k - 1
-    rows = []
-    for shift in range(q - k - 1, -1, -1):
-        rows.append([P.coeff(top - t - shift) for t in range(p + q - 2 * k)])
-    for shift in range(p - k - 1, -1, -1):
-        rows.append([Q.coeff(top - t - shift) for t in range(p + q - 2 * k)])
-    return naive_det(rows)
+    return subresultant_oracle(P, Q, k, p, q)[0]
 
 
 def subresultant_oracle(P, Q, k, p, q):

@@ -264,7 +264,8 @@ def test_classify_file_stdout_is_pinned(tmp_path):
 
 
 def test_classify_takes_no_psd_sequence(tmp_path, monkeypatch):
-    # classify reads m off its own gcd; psd_sequence is the independent route
+    # classify reads m off its own gcd; psd_sequence runs the same chain on
+    # (F, F'), so it is no independent check, and classify never calls it
     monkeypatch.setattr(disc, "psd_sequence", _raises(RuntimeError("psd_sequence was called")))
     lines = _pin_batch()
     batch = tmp_path / "batch.txt"

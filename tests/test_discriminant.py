@@ -23,9 +23,9 @@ from multdisc.oracle import RootSpec, dmu_by_stacks, poly_from_roots, random_fac
 from multdisc.scalars import clear_denominators, normalize_scalar
 from multdisc.subresultants import subresultant_det
 from multdisc.suites import _translate, run_suite
-from multdisc.sympoly import SymPoly
+from multdisc.sympoly import SymPoly, _unpack
 from multdisc.unipoly import Poly, generic_poly, parse_poly
-from multdisc.yhz import YHZ_WORK_CAP, yhz_degree
+from multdisc.yhz import YHZ_WORK_CAP, yhz_condition, yhz_degree
 
 from helpers import psd_oracle, root_product_dmu
 
@@ -234,6 +234,63 @@ def test_dmu_guards():
     # a0 x^3 has no full-rank stack: the value is the zero of the ring
     zero = dmu(Poly([SymPoly.variable(4, 0), 0, 0, 0]), (2, 1)).value
     assert isinstance(zero, SymPoly) and not zero
+
+
+def test_symbolic_dmu_takes_the_generic_family_only():
+    a0, a1, a2, a3 = generic_poly(3).coeffs
+    for F in (
+        Poly([a0, a1, a2, 2 * a3]),
+        Poly([a0, a1 + a2, a2, a3]),
+        Poly([a0 * a0, a1, a2, a3]),
+        Poly([a1, a0, a2, a3]),
+        Poly([a0, 1, a2, a3]),
+        Poly([a0, Fraction(1, 2), a2, a3]),
+        Poly([1, a1, a2, a3]),
+        Poly(generic_poly(4).coeffs[:4]),  # a_0..a_3 of five variables
+    ):
+        with pytest.raises(MultdiscError, match=r"symbolic dmu takes generic_poly\(n\), with any of a_1..a_n set to 0"):
+            dmu(F, (2, 1))
+    # a_i set to 0 is in the family: the value is the generic one there
+    rng = random.Random(36)
+    for zeros in ((1,), (3,), (1, 2), (1, 2, 3)):
+        F = Poly([0 if i in zeros else a for i, a in enumerate((a0, a1, a2, a3))])
+        for mu in ((3,), (2, 1), (1, 1, 1)):
+            value, generic = dmu(F, mu).value, dmu(generic_poly(3), mu).value
+            for _ in range(3):
+                point = [0 if i in zeros else rng.randint(-9, 9) for i in range(4)]
+                assert value.evaluate(point) == generic.evaluate(point)
+
+
+def test_a0_divides_dmu_once_and_yhz_far_more():
+    def a0_power(P, n):
+        return min(_unpack(n + 1, key)[0] for key in P.terms)
+
+    for n in range(1, 7):
+        F = generic_poly(n)
+        for m in range(1, n + 1):
+            for mu in partitions(n, m):
+                assert a0_power(dmu(F, mu).value, n) == (n if m == 1 else 1), mu
+    # past SYMBOLIC_CAP, as the q-adic valuation of D_mu at a_0 = q
+    q, rng = 1_000_003, random.Random(7)
+    for n in range(4, 12):
+        F = Poly([q] + [rng.randint(-9, 9) for _ in range(n)])
+        for m in range(2, n - 1):
+            for mu in partitions(n, m):
+                value = dmu(F, mu).value
+                assert value % q == 0 and value % q**2, (F, mu)
+    # measured, not proven: divided by its a_0 power, the largest yhz
+    # polynomial has degree d_yhz (2m - 2)/(2m - 1), on all 14 table rows
+    reduced = {}
+    for n in range(4, 7):
+        F = generic_poly(n)
+        for m in range(2, n - 1):
+            for mu in partitions(n, m):
+                cond = yhz_condition(F, mu)
+                reduced[mu] = max(P.total_degree() - a0_power(P, n) for P in (*cond.equations, cond.inequation) if P)
+                assert reduced[mu] * (2 * m - 1) == yhz_degree(mu) * (2 * m - 2), mu
+    assert len(reduced) == 14
+    # the one tie of the reduced sizes: D_mu / a_0 against reduced yhz
+    assert reduced[(3, 1)] == dmu_degree(4, (3, 1)) - 1 == 6
 
 
 def test_symbolic_homogeneity_small_degrees():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from multdisc.errors import MultdiscError, NonExactDivision
-from multdisc.sympoly import FIELD_MAX, WIDTH, SymPoly, _unpack, sum_of_products, sympoly_div
+from multdisc.errors import MultdiscError
+from multdisc.sympoly import FIELD_MAX, WIDTH, SymPoly, _unpack, sum_of_products
 
 from helpers import naive_str, random_sympoly
 
@@ -61,36 +61,6 @@ def test_degrees():
         SymPoly(NV).total_degree()
 
 
-def test_exact_division():
-    num = a0**2 * a1 - a0 * a1**2
-    assert sympoly_div(num, a0 * a1) == a0 - a1
-    assert sympoly_div(6 * a0, 3) == 2 * a0
-    with pytest.raises(NonExactDivision):
-        sympoly_div(a0 * a1 + 1, a0)
-    with pytest.raises(NonExactDivision):
-        sympoly_div(3 * a0, 2)
-    # a divisor of several terms is refused, even where it divides
-    with pytest.raises(ValueError):
-        sympoly_div((a0 + a1) * (a0 - a1), a0 + a1)
-    with pytest.raises(ZeroDivisionError):
-        sympoly_div(a0, 0)
-    with pytest.raises(ZeroDivisionError):
-        sympoly_div(a0, SymPoly(NV))
-
-
-def test_exact_division_by_a_monomial():
-    # symbolic dmu's final division: one term, so no leading-term search
-    cube = a0**3
-    num = 6 * a0**4 * a1 - 4 * a0**3 * a2**2 + 2 * a0**5
-    assert sympoly_div(num, cube) == 6 * a0 * a1 - 4 * a2**2 + 2 * a0**2
-    assert sympoly_div(num, 2 * cube) == 3 * a0 * a1 - 2 * a2**2 + a0**2
-    assert sympoly_div(SymPoly(NV), cube) == 0
-    with pytest.raises(NonExactDivision):
-        sympoly_div(num + a0**2 * a1**2, cube)  # a0^2 a1^2 lacks a0^3
-    with pytest.raises(NonExactDivision):
-        sympoly_div(num, 4 * cube)  # 6 and 2 are not multiples of 4
-
-
 def test_degree_guard():
     top = a0 ** (2**WIDTH - 1)
     assert top.total_degree() == FIELD_MAX
@@ -115,17 +85,6 @@ def test_degree_guard():
 def test_constructor_rejects_bad_exponents(exps):
     with pytest.raises(ValueError):
         sym({exps: 1})
-
-
-def test_division_checks_every_exponent_field():
-    # subtracting the packed keys would borrow across fields here
-    for num, den in ((a0 * a2, a1), (a1**2, a0), (a1 * a2**2, a0 * a2)):
-        with pytest.raises(NonExactDivision):
-            sympoly_div(num, den)
-    with pytest.raises(NonExactDivision):
-        sympoly_div(2 * a0 + 3 * a1, 2)
-    with pytest.raises(NonExactDivision):
-        sympoly_div(2 * a0 * a1 + 3 * a1, 2 * a1)
 
 
 @st.composite
@@ -207,13 +166,36 @@ def test_ring_axioms(seed):
     assert a + (-a) == 0
 
 
-@given(st.integers(0, 2**32 - 1))
-def test_division_inverts_multiplication(seed):
+def test_homogenized():
+    assert SymPoly(NV).homogenized(5) == 0
+    assert SymPoly.const(NV, 3).homogenized(2) == 3 * a0**2
+    assert SymPoly.const(NV, -1).homogenized(0) == -1
+    p = 2 * a1**2 - 3 * a1 * a2 + a2 + 4
+    assert p.homogenized(3) == 2 * a0 * a1**2 - 3 * a0 * a1 * a2 + a0**2 * a2 + 4 * a0**3
+    assert p.homogenized(FIELD_MAX).total_degree() == FIELD_MAX
+    with pytest.raises(MultdiscError, match="free of a_0"):
+        (a0 * a1).homogenized(3)
+    with pytest.raises(MultdiscError, match="free of a_0"):
+        a0.homogenized(1)
+    with pytest.raises(MultdiscError, match="total degree 2 is above 1"):
+        p.homogenized(1)
+    with pytest.raises(MultdiscError, match=f"total degree {FIELD_MAX + 1} exceeds {FIELD_MAX}"):
+        p.homogenized(FIELD_MAX + 1)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_homogenized_is_homogeneous_and_gives_back_the_input(seed, extra):
     rng = random.Random(seed)
-    a = random_sympoly(rng, NV)
-    c = rng.choice((-3, -2, -1, 1, 2, 3))
-    b = sym({tuple(rng.randint(0, 3) for _ in range(NV)): c}) if rng.random() < 0.8 else c
-    assert sympoly_div(a * b, b) == a
+    terms = {(0, *(rng.randint(0, 3) for _ in range(NV - 1))): rng.randint(-9, 9) for _ in range(rng.randint(0, 5))}
+    p = SymPoly(NV, terms)
+    degree = (p.total_degree() if p else 0) + extra
+    h = p.homogenized(degree)
+    assert h.is_homogeneous()
+    assert not h or h.total_degree() == degree
+    assert len(h.terms) == len(p.terms)
+    for _ in range(3):
+        point = [rng.randint(-6, 6) for _ in range(NV - 1)]
+        assert h.evaluate([1, *point]) == p.evaluate([1, *point])
 
 
 def _value(z, point):
